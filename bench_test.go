@@ -132,6 +132,7 @@ func BenchmarkFig09EstimatorCases(b *testing.B) {
 
 func BenchmarkFig10LossRMSE(b *testing.B) {
 	b.ReportAllocs()
+	defer reportEvents(b)()
 	sc := benchScale()
 	sc.ProbeWindow = 250
 	for i := 0; i < b.N; i++ {
@@ -189,6 +190,7 @@ func BenchmarkFig13Starvation(b *testing.B) {
 
 func BenchmarkFig14TCPSuite(b *testing.B) {
 	b.ReportAllocs()
+	defer reportEvents(b)()
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunFig14(9, sc)
@@ -493,10 +495,19 @@ func BenchmarkEq6Capacity(b *testing.B) {
 
 func BenchmarkMACSaturation(b *testing.B) {
 	b.ReportAllocs()
+	defer reportEvents(b)()
 	for i := 0; i < b.N; i++ {
 		nw := topology.TwoLink(int64(i+1), topology.CS, phy.Rate11, phy.Rate11)
 		measure.MaxUDP(nw.Network, nw.Link1, traffic.DefaultPayload, sim.Second)
 	}
+}
+
+// reportEvents adds events/op — simulator events fired per iteration, a
+// pure function of the workload — to a benchmark. Call it before the
+// loop and its result after.
+func reportEvents(b *testing.B) func() {
+	start := sim.TotalFired()
+	return func() { b.ReportMetric(float64(sim.TotalFired()-start)/float64(b.N), "events/op") }
 }
 
 func benchName(k string, v int) string {

@@ -44,10 +44,10 @@ func main() {
 	cycle = func() {
 		if on {
 			interferer.Stop()
-			nw.Sim.After(2700*sim.Millisecond, cycle)
+			nw.Sim.Schedule(nw.Sim.Now()+2700*sim.Millisecond, cycle)
 		} else {
 			interferer.Start()
-			nw.Sim.After(300*sim.Millisecond, cycle)
+			nw.Sim.Schedule(nw.Sim.Now()+300*sim.Millisecond, cycle)
 		}
 		on = !on
 	}

@@ -204,7 +204,7 @@ func RunTraced(net *Net, root int, policy Relay, flags *Flags, seed int64, tap p
 				continue // frame lost on the channel
 			}
 			delay := net.Delay(v, w) + procDelay + sim.Time(rng.Int63n(int64(maxJitter)))
-			s.After(delay, func() { receive(w, v, d+1) })
+			s.Schedule(s.Now()+delay, func() { receive(w, v, d+1) })
 		}
 	}
 

@@ -81,10 +81,10 @@ func (fig9Exp) RunCell(c exp.Cell) sink.Record {
 		cycle = func() {
 			if on {
 				burst.Stop()
-				nw.Sim.After(sim.Time(80)*period, cycle)
+				nw.Sim.Schedule(nw.Sim.Now()+sim.Time(80)*period, cycle)
 			} else {
 				burst.Start()
-				nw.Sim.After(sim.Time(5)*period, cycle)
+				nw.Sim.Schedule(nw.Sim.Now()+sim.Time(5)*period, cycle)
 			}
 			on = !on
 		}

@@ -81,10 +81,15 @@ type MAC struct {
 	stage      int
 	retries    int
 	backoff    int
-	difs       *sim.Timer
-	slot       *sim.Timer
-	ackTimeout *sim.Timer
+	difs       sim.Timer
+	slot       sim.Timer
+	ackTimeout sim.Timer
 
+	// The SIFS response is single-flight (ackQueued || sendingAck guards
+	// it through TxDone), so one ACK frame and one callback per station
+	// are reused.
+	ack        phy.Frame
+	sendAckFn  sim.Event
 	sendingAck bool
 	ackQueued  bool
 
@@ -107,6 +112,10 @@ func New(med *phy.Medium, radio *phy.Radio, cb Callbacks) *MAC {
 		QueueCap:   DefaultQueueCap,
 		lastSeq:    make(map[int]int64),
 	}
+	m.difs = m.s.NewTimer(m.onDIFSDone)
+	m.slot = m.s.NewTimer(m.onSlot)
+	m.ackTimeout = m.s.NewTimer(m.onAckTimeout)
+	m.sendAckFn = m.sendAck
 	radio.SetListener(m)
 	return m
 }
@@ -172,7 +181,7 @@ func (m *MAC) startAccess() {
 
 func (m *MAC) beginDIFS() {
 	m.state = stDIFS
-	m.difs = m.s.After(phy.DIFS, m.onDIFSDone)
+	m.difs.Reset(phy.DIFS)
 }
 
 func (m *MAC) onDIFSDone() {
@@ -181,7 +190,7 @@ func (m *MAC) onDIFSDone() {
 		m.attemptTx()
 		return
 	}
-	m.slot = m.s.After(phy.SlotTime, m.onSlot)
+	m.slot.Reset(phy.SlotTime)
 }
 
 func (m *MAC) onSlot() {
@@ -190,7 +199,7 @@ func (m *MAC) onSlot() {
 		m.attemptTx()
 		return
 	}
-	m.slot = m.s.After(phy.SlotTime, m.onSlot)
+	m.slot.Reset(phy.SlotTime)
 }
 
 func (m *MAC) attemptTx() {
@@ -217,9 +226,7 @@ func (m *MAC) CarrierSense(busy bool) {
 			m.difs.Stop()
 			m.state = stWaitIdle
 		case stBackoff:
-			if m.slot != nil {
-				m.slot.Stop()
-			}
+			m.slot.Stop()
 			m.state = stWaitIdle
 		}
 		return
@@ -245,7 +252,7 @@ func (m *MAC) TxDone(f *phy.Frame) {
 	}
 	ackDur := phy.ControlAirtime(phy.ControlRate(f.Rate), phy.ACKBytes)
 	m.state = stWaitAck
-	m.ackTimeout = m.s.After(phy.SIFS+ackDur+ackTimeoutMargin, m.onAckTimeout)
+	m.ackTimeout.Reset(phy.SIFS + ackDur + ackTimeoutMargin)
 }
 
 func (m *MAC) onAckTimeout() {
@@ -265,7 +272,12 @@ func (m *MAC) onAckTimeout() {
 
 func (m *MAC) finish(ok bool) {
 	f := m.cur
-	m.queue = m.queue[1:]
+	// Copy down rather than re-slice: the head stays at the start of the
+	// backing array, so Enqueue's append never has to reallocate and the
+	// sent frame is not kept reachable behind the window.
+	n := copy(m.queue, m.queue[1:])
+	m.queue[n] = nil
+	m.queue = m.queue[:n]
 	m.cur = nil
 	if m.cb.Sent != nil {
 		m.cb.Sent(f, ok)
@@ -312,7 +324,7 @@ func (m *MAC) scheduleAck(data *phy.Frame) {
 		return // one SIFS response at a time; the sender will retry
 	}
 	m.ackQueued = true
-	ack := &phy.Frame{
+	m.ack = phy.Frame{
 		Src:   m.ID(),
 		Dst:   data.Src,
 		Kind:  phy.KindAck,
@@ -320,13 +332,15 @@ func (m *MAC) scheduleAck(data *phy.Frame) {
 		Rate:  phy.ControlRate(data.Rate),
 		Seq:   data.Seq,
 	}
-	m.s.After(phy.SIFS, func() {
-		m.ackQueued = false
-		if m.radio.Transmitting() {
-			return
-		}
-		m.sendingAck = true
-		m.Stats.AcksSent++
-		m.med.Transmit(m.radio, ack)
-	})
+	m.s.Schedule(m.s.Now()+phy.SIFS, m.sendAckFn)
+}
+
+func (m *MAC) sendAck() {
+	m.ackQueued = false
+	if m.radio.Transmitting() {
+		return
+	}
+	m.sendingAck = true
+	m.Stats.AcksSent++
+	m.med.Transmit(m.radio, &m.ack)
 }

@@ -239,3 +239,44 @@ func TestSaturationThroughput1Mbps(t *testing.T) {
 		t.Fatalf("saturation throughput = %.3f Mb/s, want ~0.915", bps/1e6)
 	}
 }
+
+// TestEventCountPinned fixes the kernel work of one seeded contention
+// run: two saturated carrier-sensing senders on lossy links to a common
+// receiver, so backoff slots, DIFS restarts, ACK timeouts and retries
+// all contribute. The record streams cannot see an event that fires and
+// does nothing; this can. A change here means the MAC's event model
+// changed (e.g. one expiry event per backoff instead of one per slot)
+// and must be deliberate.
+func TestEventCountPinned(t *testing.T) {
+	s := sim.New(3)
+	med := phy.NewMedium(s, phy.DefaultConfig())
+	r0 := med.AddRadio(phy.Position{X: -40})
+	r1 := med.AddRadio(phy.Position{})
+	r2 := med.AddRadio(phy.Position{X: 40})
+	med.SetBER(0, 1, 2e-5)
+	med.SetBER(2, 1, 2e-5)
+	var senders [2]*MAC
+	for i, r := range []*phy.Radio{r0, r2} {
+		senders[i] = New(med, r, Callbacks{Sent: func(*phy.Frame, bool) {
+			for senders[i].QueueLen() < 3 {
+				senders[i].Enqueue(data(1, 1470, phy.Rate11))
+			}
+		}})
+	}
+	New(med, r1, Callbacks{})
+	for _, m := range senders {
+		m.Enqueue(data(1, 1470, phy.Rate11))
+	}
+	s.Run(2 * sim.Second)
+
+	st := s.Stats()
+	attempts := senders[0].Stats.Attempts + senders[1].Stats.Attempts
+	const wantFired, wantCancelled, wantAttempts = 30210, 2663, 1089
+	if st.Fired != wantFired || st.Cancelled != wantCancelled || attempts != wantAttempts {
+		t.Fatalf("fired %d cancelled %d attempts %d; want %d %d %d",
+			st.Fired, st.Cancelled, attempts, wantFired, wantCancelled, wantAttempts)
+	}
+	if st.HeapHighWater > 16 {
+		t.Fatalf("heap reached %d entries with three stations", st.HeapHighWater)
+	}
+}

@@ -153,3 +153,29 @@ func TestMesh18HasRichLinkSet(t *testing.T) {
 		t.Fatal("1 Mb/s should reach at least as many links as 11 Mb/s")
 	}
 }
+
+// A saturated carrier-sensing pair is the simulator's hot loop: backoff
+// slots, DATA/ACK exchanges, end-of-air fan-out. What may still allocate
+// per frame is the traffic itself (packet, frame), not the kernel, the
+// MAC's timers or the medium.
+func TestSaturatedPairAllocsPerFrame(t *testing.T) {
+	var frames int64
+	allocs := testing.AllocsPerRun(1, func() {
+		nw := topology.TwoLink(1, topology.CS, phy.Rate11, phy.Rate11)
+		Simultaneous(nw.Network, []topology.Link{nw.Link1, nw.Link2}, traffic.DefaultPayload, testDur)
+		frames = 0
+		for a := range nw.Nodes {
+			for b := range nw.Nodes {
+				if a != b {
+					frames += nw.Medium.Counters(a, b).Sent
+				}
+			}
+		}
+	})
+	if frames < 1000 {
+		t.Fatalf("only %d frames sent; the pair is not saturated", frames)
+	}
+	if perFrame := allocs / float64(frames); perFrame > 5 {
+		t.Fatalf("%.2f allocations per frame over %d frames, want <= 5", perFrame, frames)
+	}
+}

@@ -199,6 +199,8 @@ type Medium struct {
 
 	tracer  Tracer  // optional per-link decision hook; nil = off
 	channel Channel // optional loss-decision override; nil = stochastic
+
+	txFree []*transmission // transmissions off the air, for reuse
 }
 
 // NewMedium creates an empty medium on the given simulator.
@@ -400,11 +402,14 @@ func (m *Medium) ResetCounters() {
 	}
 }
 
-// transmission is a frame in flight.
+// transmission is a frame in flight. Transmissions are pooled on the
+// medium: one is taken per Transmit and returned when its end-of-air
+// event has run, by which point no radio's arrivals or lock names it.
 type transmission struct {
 	frame *Frame
 	src   *Radio
 	end   sim.Time
+	endFn sim.Event // m.endOfAir(tx), bound once per pooled object
 }
 
 // Transmit puts f on the air from radio r. The MAC must ensure r is not
@@ -414,8 +419,15 @@ func (m *Medium) Transmit(r *Radio, f *Frame) {
 		panic("phy: Transmit while already transmitting")
 	}
 	m.freeze()
-	dur := f.Airtime()
-	tx := &transmission{frame: f, src: r, end: m.sim.Now() + dur}
+	var tx *transmission
+	if n := len(m.txFree); n > 0 {
+		tx = m.txFree[n-1]
+		m.txFree = m.txFree[:n-1]
+	} else {
+		tx = new(transmission)
+		tx.endFn = func() { m.endOfAir(tx) }
+	}
+	tx.frame, tx.src, tx.end = f, r, m.sim.Now()+f.Airtime()
 	r.transmitting = true
 	r.updateCS()
 	if !f.Broadcast() {
@@ -435,19 +447,27 @@ func (m *Medium) Transmit(r *Radio, f *Frame) {
 		}
 		o.arrivalStart(tx, p)
 	}
-	m.sim.Schedule(tx.end, func() {
-		for _, o := range m.radios {
-			if o == r {
-				continue
-			}
-			o.arrivalEnd(tx)
+	m.sim.Schedule(tx.end, tx.endFn)
+}
+
+// endOfAir takes tx off the air: every radio that saw it settles its
+// reception, then the sender is told. TxDone may call Transmit again, so
+// tx goes back to the pool only after it returns.
+func (m *Medium) endOfAir(tx *transmission) {
+	r, f := tx.src, tx.frame
+	for _, o := range m.radios {
+		if o == r {
+			continue
 		}
-		r.transmitting = false
-		r.updateCS()
-		if r.listener != nil {
-			r.listener.TxDone(f)
-		}
-	})
+		o.arrivalEnd(tx)
+	}
+	r.transmitting = false
+	r.updateCS()
+	if r.listener != nil {
+		r.listener.TxDone(f)
+	}
+	tx.frame, tx.src = nil, nil
+	m.txFree = append(m.txFree, tx)
 }
 
 // channelLost decides the channel-error outcome for a decoded frame on

@@ -250,3 +250,49 @@ func TestPropagationRangeForInverts(t *testing.T) {
 		}
 	}
 }
+
+// chainSender puts its next frame on the air from inside TxDone, while
+// the transmission that just ended is still checked out of the pool.
+type chainSender struct {
+	recorder
+	m    *Medium
+	r    *Radio
+	left int
+}
+
+func (c *chainSender) TxDone(f *Frame) {
+	c.txDone++
+	if c.left--; c.left > 0 {
+		c.m.Transmit(c.r, f)
+	}
+}
+
+func TestTransmissionsAreReusedAcrossBackToBackFrames(t *testing.T) {
+	s, m, a, b, _, rb := twoRadios(t, 50)
+	const frames = 500
+	snd := &chainSender{m: m, r: a, left: frames}
+	a.SetListener(snd)
+	f := &Frame{Src: 0, Dst: 1, Kind: KindData, Bytes: 200, Rate: Rate11}
+	m.Transmit(a, f)
+	s.Run(sim.Second)
+	if snd.txDone != frames || len(rb.received) != frames {
+		t.Fatalf("TxDone %d, received %d; want %d each", snd.txDone, len(rb.received), frames)
+	}
+	// Each frame overlaps only the end-of-air callback of the one before.
+	if n := len(m.txFree); n != 2 {
+		t.Fatalf("%d transmissions pooled after %d back-to-back frames, want 2", n, frames)
+	}
+	for _, r := range []*Radio{a, b} {
+		if len(r.arrivals) != 0 || r.lock.tx != nil {
+			t.Fatalf("radio %d still references a released transmission", r.id)
+		}
+	}
+	b.SetListener(nil) // the recorder appends
+	if allocs := testing.AllocsPerRun(10, func() {
+		snd.left = 10
+		m.Transmit(a, f)
+		s.Run(s.Now() + sim.Second)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per 10 frames on a warm medium, want 0", allocs)
+	}
+}

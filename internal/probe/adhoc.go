@@ -25,7 +25,7 @@ type AdHocProbe struct {
 	period  sim.Time
 	sent    int
 	running bool
-	timer   *sim.Timer
+	emitFn  sim.Event // a.emit, bound once
 
 	firstArrival map[int64]sim.Time
 	minDisp      sim.Time
@@ -42,12 +42,14 @@ type pairPayload struct {
 // NewAdHocProbe prepares a packet-pair run of `pairs` pairs of
 // payloadBytes packets from src to dst, one pair per period.
 func NewAdHocProbe(s *sim.Sim, src *node.Node, dst, payloadBytes, pairs int, period sim.Time) *AdHocProbe {
-	return &AdHocProbe{
+	a := &AdHocProbe{
 		s: s, src: src, dst: dst, bytes: payloadBytes,
 		pairs: pairs, period: period,
 		firstArrival: make(map[int64]sim.Time),
 		minDisp:      math.MaxInt64,
 	}
+	a.emitFn = a.emit
+	return a
 }
 
 // Start begins emitting pairs and recording dispersions at the receiver
@@ -86,7 +88,7 @@ func (a *AdHocProbe) emit() {
 			Payload: &pairPayload{Pair: id, Index: idx},
 		})
 	}
-	a.timer = a.s.After(a.period, a.emit)
+	a.s.Schedule(a.s.Now()+a.period, a.emitFn)
 }
 
 func (a *AdHocProbe) onArrival(pp *pairPayload) {

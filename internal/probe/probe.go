@@ -55,7 +55,7 @@ type Prober struct {
 	dataBytes int
 
 	running bool
-	timer   *sim.Timer
+	timer   sim.Timer
 	seq     [numClasses]int64
 	sent    [numClasses]int64
 }
@@ -63,13 +63,15 @@ type Prober struct {
 // NewProber creates a prober for n. dataRate and dataBytes configure the
 // DATA-emulating class.
 func NewProber(s *sim.Sim, n *node.Node, dataRate phy.Rate, dataBytes int) *Prober {
-	return &Prober{
+	p := &Prober{
 		s: s, n: n,
 		period:    DefaultPeriod,
 		rng:       s.NewStream(),
 		dataRate:  dataRate,
 		dataBytes: dataBytes,
 	}
+	p.timer = s.NewTimer(p.tick)
+	return p
 }
 
 // SetPeriod changes the probing period (before Start).
@@ -87,9 +89,7 @@ func (p *Prober) Start() {
 // Stop halts probing.
 func (p *Prober) Stop() {
 	p.running = false
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.timer.Stop()
 }
 
 // Sent returns the number of probes of class c sent so far.
@@ -109,7 +109,7 @@ func (p *Prober) tick() {
 		p.sent[ClassAck]++
 	}
 	jitter := 0.75 + 0.5*p.rng.Float64()
-	p.timer = p.s.After(sim.Time(float64(p.period)*jitter), p.tick)
+	p.timer.Reset(sim.Time(float64(p.period) * jitter))
 }
 
 // traceBufCap bounds how much reception history a recorder keeps per

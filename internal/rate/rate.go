@@ -27,7 +27,7 @@ type Shaper struct {
 	lastFill sim.Time
 	queue    []*node.Packet
 	queueCap int
-	timer    *sim.Timer
+	timer    sim.Timer
 
 	// Dropped counts packets rejected by the shaper queue.
 	Dropped int64
@@ -37,13 +37,15 @@ type Shaper struct {
 
 // NewShaper creates a shaper for n at rateBps payload bits per second.
 func NewShaper(s *sim.Sim, n *node.Node, rateBps float64) *Shaper {
-	return &Shaper{
+	sh := &Shaper{
 		s: s, n: n,
 		rateBps:  rateBps,
 		depthPkt: DefaultBucketDepth,
 		queueCap: 200,
 		lastFill: s.Now(),
 	}
+	sh.timer = s.NewTimer(sh.drain)
+	return sh
 }
 
 // SetRate reconfigures the shaper; takes effect immediately.
@@ -108,9 +110,6 @@ func (sh *Shaper) drain() {
 		if wait < sim.Microsecond {
 			wait = sim.Microsecond
 		}
-		if sh.timer != nil {
-			sh.timer.Stop()
-		}
-		sh.timer = sh.s.After(wait, sh.drain)
+		sh.timer.Reset(wait)
 	}
 }

@@ -418,10 +418,10 @@ func startBurstCycle(s *sim.Sim, src *traffic.CBR, on, off sim.Time) {
 	cycle = func() {
 		if running {
 			src.Stop()
-			s.After(off, cycle)
+			s.Schedule(s.Now()+off, cycle)
 		} else {
 			src.Start()
-			s.After(on, cycle)
+			s.Schedule(s.Now()+on, cycle)
 		}
 		running = !running
 	}

@@ -1003,3 +1003,56 @@ func TestBroadcastRepeatSubmitIsPureCacheHit(t *testing.T) {
 		t.Fatalf("cache-hit header %q", hdr.Get("X-Meshopt-Cache"))
 	}
 }
+
+// TestRecordsSubscriberInRenameWindow pins the hand-over from part file
+// to cache entry: runLocal/runDist rename the part before they publish
+// the entry's path, so a subscriber whose first look at a running job
+// falls in between finds no file under the published path. It must wait
+// for the next publish and stream the entry, not end a complete job's
+// stream with an empty 200.
+func TestRecordsSubscriberInRenameWindow(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), Options{})
+	e, _ := exp.Find("servetoy")
+	j := newJob("renamewindow", dist.Job{Experiment: "servetoy", Seed: 1}, e, exp.Quick())
+	body := []byte("{\"cell\":0}\n{\"cell\":1}\n")
+	entry := filepath.Join(t.TempDir(), "entry.jsonl")
+	if err := os.WriteFile(entry, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The job as a subscriber sees it mid-window: running, records
+	// published, the part file already renamed away.
+	j.state = stateRunning
+	j.path = entry + ".part"
+	j.bytes = int64(len(body))
+	s.mu.Lock()
+	s.jobs[j.key] = j
+	s.mu.Unlock()
+
+	waiting := j.snapshot().update
+	got := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.key + "/records")
+		if err != nil {
+			got <- nil
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		got <- b
+	}()
+	select {
+	case b := <-got:
+		t.Fatalf("stream ended inside the rename window with %q", b)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if waiting != j.snapshot().update {
+		t.Fatal("test premise: nothing else publishes on this job")
+	}
+	j.publish(func(j *job) {
+		j.state = stateDone
+		j.path = entry
+	})
+	if b := <-got; !bytes.Equal(b, body) {
+		t.Fatalf("streamed %q, want %q", b, body)
+	}
+}

@@ -669,7 +669,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			// Held open across the part→entry rename: the fd follows
 			// the inode, and published offsets are stable across it.
 			if f, err = os.Open(v.path); err != nil {
-				return
+				if terminal(v.state) {
+					return
+				}
+				// The part file is renamed to its cache entry a moment
+				// before the job publishes the entry's path; a subscriber
+				// that opens in between waits for that publish instead of
+				// ending a complete job's stream empty.
+				f = nil
 			}
 		}
 		if f != nil && off < v.bytes {

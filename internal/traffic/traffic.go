@@ -160,7 +160,7 @@ type CBR struct {
 	rate  float64 // bits per second
 
 	running bool
-	timer   *sim.Timer
+	timer   sim.Timer
 	seq     int64
 	sent    int64
 	dropped int64
@@ -168,7 +168,9 @@ type CBR struct {
 
 // NewCBR creates a constant-bit-rate source. rateBps counts payload bits.
 func NewCBR(s *sim.Sim, n *node.Node, flow, dst, payloadBytes int, rateBps float64) *CBR {
-	return &CBR{s: s, n: n, flow: flow, dst: dst, bytes: payloadBytes, rate: rateBps}
+	c := &CBR{s: s, n: n, flow: flow, dst: dst, bytes: payloadBytes, rate: rateBps}
+	c.timer = s.NewTimer(c.emit)
+	return c
 }
 
 // SetRate retunes the source, taking effect from the next packet.
@@ -189,9 +191,7 @@ func (c *CBR) Start() {
 // Stop implements Source.
 func (c *CBR) Stop() {
 	c.running = false
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	c.timer.Stop()
 }
 
 // SentPackets implements Source.
@@ -206,7 +206,7 @@ func (c *CBR) emit() {
 	}
 	if c.rate <= 0 {
 		// Re-check periodically so SetRate can revive the flow.
-		c.timer = c.s.After(100*sim.Millisecond, c.emit)
+		c.timer.Reset(100 * sim.Millisecond)
 		return
 	}
 	c.seq++
@@ -227,5 +227,5 @@ func (c *CBR) emit() {
 	if interval < sim.Microsecond {
 		interval = sim.Microsecond
 	}
-	c.timer = c.s.After(interval, c.emit)
+	c.timer.Reset(interval)
 }

@@ -50,7 +50,7 @@ type Flow struct {
 	srtt     float64
 	rttvar   float64
 	rto      sim.Time
-	rtxTimer *sim.Timer
+	rtxTimer sim.Timer
 	shaper   *rate.Shaper
 
 	// Receiver state.
@@ -83,6 +83,7 @@ func NewFlow(s *sim.Sim, src, dst *node.Node, id int) *Flow {
 		sentAt:   make(map[int64]sim.Time),
 		ooo:      make(map[int64]bool),
 	}
+	f.rtxTimer = s.NewTimer(f.onTimeout)
 	hookDeliver(dst, f, f.onData)
 	hookDeliver(src, f, f.onAck)
 	return f
@@ -116,9 +117,7 @@ func (f *Flow) Start() {
 // Stop closes the flow.
 func (f *Flow) Stop() {
 	f.open = false
-	if f.rtxTimer != nil {
-		f.rtxTimer.Stop()
-	}
+	f.rtxTimer.Stop()
 }
 
 // GoodputBps returns receiver-side in-order goodput since Start.
@@ -169,13 +168,11 @@ func (f *Flow) transmit(seq int64) {
 }
 
 func (f *Flow) armRTX() {
-	if f.rtxTimer != nil {
-		f.rtxTimer.Stop()
-	}
 	if f.inFlight() == 0 {
+		f.rtxTimer.Stop()
 		return
 	}
-	f.rtxTimer = f.s.After(f.rto, f.onTimeout)
+	f.rtxTimer.Reset(f.rto)
 }
 
 func (f *Flow) onTimeout() {

@@ -21,6 +21,16 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== benchmark module (its own go.mod: ./... above never compiles it against sim/phy)"
+go vet -C benchmark .
+go test -C benchmark .
+
+echo "== internal/sim stays off container/heap"
+if grep -l '"container/heap"' internal/sim/*.go; then
+    echo "internal/sim must keep its inlined value heap" >&2
+    exit 1
+fi
+
 echo "== go test -race (parallel experiment engine + shard coordinator + serve layer + trace + obs)"
 go test -race ./internal/experiments/... ./internal/dist/... ./internal/serve ./internal/trace ./internal/obs/...
 
