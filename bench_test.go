@@ -7,8 +7,13 @@
 package repro
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/broadcast"
@@ -24,6 +29,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/probe"
 	"repro/internal/scenario/sink"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -216,6 +222,63 @@ func BenchmarkBroadcast(b *testing.B) {
 			b.Fatal(err)
 		}
 		res.Print(io.Discard)
+	}
+}
+
+// warmSubmitSpec is a cheap broadcast sweep with many records: 8 roots ×
+// 4 policies × 80 repetitions = 2 560 cells ≈ 10 k records ≈ 1 MB.
+const warmSubmitSpec = `{"name":"bench-warm-submit",
+ "topology":{"kind":"explicit","rate":"11Mbps","positions":[
+  {"x":0,"y":0},{"x":70,"y":0},{"x":140,"y":0},{"x":210,"y":0},
+  {"x":0,"y":70},{"x":70,"y":70},{"x":140,"y":70},{"x":210,"y":70}]},
+ "broadcast":{"policies":["flood","tree","gossip(0.7)","krandom(3)"],
+  "roots":[0,1,2,3,4,5,6,7],"repetitions":80}}`
+
+// BenchmarkServeWarmSubmit times POST /v1/jobs for a job that is done
+// and resident over a ≈ 10 k-record cache entry — the request an online
+// consumer repeats most. The entry's size must not show in the cost.
+func BenchmarkServeWarmSubmit(b *testing.B) {
+	b.ReportAllocs()
+	srv, err := serve.New(serve.Options{CacheDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Shutdown(context.Background())
+	}()
+	body := `{"spec":` + warmSubmitSpec + `,"seed":1}`
+	submit := func() (id string, created bool) {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r struct {
+			ID      string `json:"id"`
+			Created bool   `json:"created"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("POST /v1/jobs: %s: %v", resp.Status, err)
+		}
+		return r.ID, r.Created
+	}
+	id, _ := submit()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/records") // streams until the job is done
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || n < 1<<19 {
+		b.Fatalf("warming the entry: %d bytes: %v", n, err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, created := submit(); created || got != id {
+			b.Fatalf("warm submit: id %.12s created=%v", got, created)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -272,14 +274,24 @@ func (c *Cache) seal(key string, records int, dataBytes int64, sum string) {
 }
 
 // touch refreshes a key's eviction timestamp after an index-fast-path
-// lookup served it.
+// lookup served it — in memory only, so a hit costs no disk write. The
+// refreshed timestamp reaches index.json with the next seal, invalidation
+// or eviction, or at Flush.
 func (c *Cache) touch(key string) {
 	c.mu.Lock()
 	if ent, ok := c.index[key]; ok {
 		ent.LastValidated = time.Now().UnixNano()
 		c.index[key] = ent
-		c.persistLocked()
 	}
+	c.mu.Unlock()
+}
+
+// Flush persists the index, carrying out the eviction timestamps that
+// lookups refreshed in memory since the last write. The server calls it
+// once at shutdown.
+func (c *Cache) Flush() {
+	c.mu.Lock()
+	c.persistLocked()
 	c.mu.Unlock()
 }
 
@@ -371,16 +383,87 @@ func (c *Cache) EvictOver(quota int64, pinned map[string]bool) (evicted int, fre
 // persistLocked writes index.json atomically (tmp + rename). Failures
 // are ignored: the index is advisory, and the worst a lost write costs
 // is one rehash in a future process. Called with c.mu held.
+//
+// The bytes are those of json.MarshalIndent(c.index, "", "  ") plus a
+// newline, but streamed entry by entry in sorted-key order through a
+// small buffered writer: the index is rewritten on every seal, and
+// marshalling it whole builds three copies of it per write — megabytes
+// of large-object garbage per second once the cache holds hundreds of
+// entries. No buffer is kept on the Cache between writes either; a
+// retained one only raises the heap's floor.
 func (c *Cache) persistLocked() {
-	b, err := json.MarshalIndent(c.index, "", "  ")
+	tmp := c.indexPath() + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return
 	}
-	tmp := c.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	w := bufio.NewWriter(f)
+	c.encodeIndexLocked(w)
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return
 	}
 	os.Rename(tmp, c.indexPath())
+}
+
+// encodeIndexLocked streams the index to w in json.MarshalIndent's
+// layout. Write errors stick to w and surface at its Flush.
+func (c *Cache) encodeIndexLocked(w *bufio.Writer) {
+	if len(c.index) == 0 {
+		w.WriteString("{}\n")
+		return
+	}
+	keys := make([]string, 0, len(c.index))
+	for k := range c.index {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var scratch [512]byte
+	w.WriteString("{\n")
+	for i, k := range keys {
+		ent := c.index[k]
+		b := append(scratch[:0], "  "...)
+		b = appendJSONString(b, k)
+		b = append(b, ": {\n    \"records\": "...)
+		b = strconv.AppendInt(b, int64(ent.Records), 10)
+		b = append(b, ",\n    \"sha256\": "...)
+		b = appendJSONString(b, ent.SHA256)
+		b = append(b, ",\n    \"length\": "...)
+		b = strconv.AppendInt(b, ent.Length, 10)
+		b = append(b, ",\n    \"size\": "...)
+		b = strconv.AppendInt(b, ent.Size, 10)
+		b = append(b, ",\n    \"mtime_ns\": "...)
+		b = strconv.AppendInt(b, ent.ModTimeNS, 10)
+		if ent.LastValidated != 0 {
+			b = append(b, ",\n    \"last_validated_ns\": "...)
+			b = strconv.AppendInt(b, ent.LastValidated, 10)
+		}
+		b = append(b, "\n  }"...)
+		if i < len(keys)-1 {
+			b = append(b, ',')
+		}
+		b = append(b, '\n')
+		w.Write(b)
+	}
+	w.WriteString("}\n")
+}
+
+// appendJSONString appends s as a JSON string. Keys and hashes are hex,
+// which needs no escaping; anything else goes through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // ImportRunDir converts a finished coordinator run directory into a

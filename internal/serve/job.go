@@ -53,6 +53,12 @@ type job struct {
 	queuedSpan *span.Span
 	queuedAt   time.Time
 
+	// Guarded by the server's mu, not the job's: the one "coalesced"
+	// marker span (opened by the first attach) and how many submissions
+	// have attached — a hot key costs one span, not one per hit.
+	coalescedSpan *span.Span
+	coalesced     int
+
 	mu           sync.Mutex
 	state        string
 	cacheHit     bool // satisfied from a validated cache entry, no execution

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -190,5 +193,119 @@ func TestCacheHitJobHasSummary(t *testing.T) {
 	}
 	if st.Summary != computed {
 		t.Fatalf("cache-hit summary %q differs from computed %q", st.Summary, computed)
+	}
+}
+
+// readIndex parses the persisted index.json.
+func readIndex(t *testing.T, c *Cache) (map[string]indexEntry, os.FileInfo) {
+	t.Helper()
+	b, err := os.ReadFile(c.indexPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx map[string]indexEntry
+	if err := json.Unmarshal(b, &idx); err != nil {
+		t.Fatalf("index.json: %v\n%s", err, b)
+	}
+	fi, err := os.Stat(c.indexPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx, fi
+}
+
+// TestCacheTouchIsNotADiskWrite: a fast-path hit refreshes the entry's
+// eviction timestamp in memory and leaves index.json alone; the fresh
+// timestamp reaches the file with the next seal and at Shutdown, so a
+// clean stop does not lose the eviction order.
+func TestCacheTouchIsNotADiskWrite(t *testing.T) {
+	inMemory := func(c *Cache, key string) int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.index[key].LastValidated
+	}
+
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealEntry(t, c, "aaaa", 1)
+	c.Flush()
+	_, before := readIndex(t, c)
+	if _, _, _, ok := c.Lookup("aaaa"); !ok {
+		t.Fatal("sealed entry not served")
+	}
+	touched := inMemory(c, "aaaa")
+	idx, after := readIndex(t, c)
+	// Every index write renames a new file into place, so the same file
+	// means no write happened.
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatal("a fast-path lookup rewrote index.json")
+	}
+	if touched <= 1 || idx["aaaa"].LastValidated != 1 {
+		t.Fatalf("touch: in memory %d, on disk %d; want a fresh timestamp in memory only", touched, idx["aaaa"].LastValidated)
+	}
+	sealEntry(t, c, "bbbb", 2) // the next seal carries the touch out
+	if idx, _ := readIndex(t, c); idx["aaaa"].LastValidated != touched {
+		t.Fatalf("after the next seal index.json holds %d, want %d", idx["aaaa"].LastValidated, touched)
+	}
+
+	s, ts := newTestServer(t, t.TempDir(), Options{})
+	const body = `{"experiment":"servetoy","seed":59}`
+	sr := postJob(t, ts, body)
+	getRecords(t, ts, sr.ID, "")
+	_, before = readIndex(t, s.cache)
+	postJob(t, ts, body) // warm: a fast-path lookup
+	touched = inMemory(s.cache, sr.ID)
+	idx, after = readIndex(t, s.cache)
+	if !os.SameFile(before, after) || idx[sr.ID].LastValidated >= touched {
+		t.Fatalf("warm submit rewrote index.json (on disk %d, in memory %d)", idx[sr.ID].LastValidated, touched)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if idx, _ := readIndex(t, s.cache); idx[sr.ID].LastValidated != touched {
+		t.Fatalf("after Shutdown index.json holds %d, want %d", idx[sr.ID].LastValidated, touched)
+	}
+}
+
+// TestIndexEncodingMatchesMarshalIndent: the streamed index writer is a
+// hand-rolled encoder; encoding/json over the same map is its reference,
+// byte for byte — including a never-validated entry (the timestamp is
+// omitted) and a key that needs escaping.
+func TestIndexEncodingMatchesMarshalIndent(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		want, err := json.MarshalIndent(c.index, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Flush()
+		got, err := os.ReadFile(c.indexPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("index.json:\n%s\nwant:\n%s", got, want)
+		}
+	}
+	check() // empty
+	c.index["beef"] = indexEntry{Records: 3, SHA256: "00ff", Length: 120, Size: 200, ModTimeNS: 1_700_000_000_123_456_789, LastValidated: 42}
+	check()
+	c.index["0a"] = indexEntry{Records: 1, SHA256: "ab", Length: 1, Size: 2, ModTimeNS: -5}
+	c.index["we\"ird <key>\né"] = indexEntry{Records: 10234, SHA256: "c0ffee", Length: 1 << 20, Size: 1<<20 + 90, LastValidated: 7}
+	check()
+	c2, err := NewCache(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c2.index, c.index) {
+		t.Fatalf("reloaded index differs:\n%+v\nwant\n%+v", c2.index, c.index)
 	}
 }

@@ -401,6 +401,11 @@ func TestCorruptedCacheEntryIsRecomputed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"removed", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -665,18 +670,24 @@ func TestExperimentsEndpoint(t *testing.T) {
 
 func TestSubmitRejectsUnknownWork(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir(), Options{})
-	for _, body := range []string{
-		`{"experiment":"nosuch","seed":1}`,
-		`{"experiment":"servetoy","seed":1,"scale":"huge"}`,
-		`{not json`,
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"experiment":"nosuch","seed":1}`, http.StatusBadRequest},
+		{`{"experiment":"servetoy","seed":1,"scale":"huge"}`, http.StatusBadRequest},
+		{`{not json`, http.StatusBadRequest},
+		// One byte over the body limit, all of it inside a well-formed
+		// request: refused for its size, not parsed.
+		{`{"experiment":"` + strings.Repeat("x", maxSubmitBytes) + `","seed":1}`, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("submit %s: status %s, want 400", body, resp.Status)
+		if resp.StatusCode != tc.want {
+			t.Fatalf("submit %.40s: status %s, want %d", tc.body, resp.Status, tc.want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/deadbeef")

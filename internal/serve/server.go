@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -312,6 +313,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.o.Logger.Info("shutdown interrupted in-flight jobs",
 			"jobs", len(inflight), "cells_completed", completed, "cells_abandoned", abandoned)
 	}
+	// Lookups refresh eviction timestamps in memory only; a clean stop
+	// is where they reach index.json.
+	s.cache.Flush()
 	return err
 }
 
@@ -393,26 +397,109 @@ type submitResponse struct {
 	Created bool   `json:"created"`
 }
 
-// submit coalesces a request onto its job, creating and enqueueing one
-// only when no valid cache entry or live identical job exists. The
-// entry validation — a full rehash of the file — runs before the
-// server lock is taken, so warm submissions of large entries do not
-// convoy the whole API behind disk I/O; the map check under the lock
-// then decides what the validation outcome means.
+// submit coalesces a request onto its job. The job table is consulted
+// first (attach): an in-flight job is attached to at once, a resident
+// done job after its cache entry revalidates — so a warm submission
+// costs the key derivation, a stat and two short critical sections,
+// whatever the entry's size or the cache's and the table's population.
+// Only when the table holds no usable job is one built (create): born
+// done from a valid cache entry, or queued for execution.
 func (s *Server) submit(req dist.Job) (*job, bool, error) {
 	metSubmissions.Inc()
 	key, err := JobKey(req)
 	if err != nil {
 		return nil, false, err
 	}
+	for {
+		j, stale, err := s.attach(key)
+		if j != nil || err != nil {
+			return j, false, err
+		}
+		j, created, err := s.create(key, req, stale)
+		if j != nil || err != nil {
+			return j, created, err
+		}
+		// A concurrent submission put its job in the table while this one
+		// was being built: go back and attach to that one.
+	}
+}
+
+// attach answers a submission from the job table. It returns the job to
+// coalesce onto; or, when the table's job cannot serve the submission —
+// failed, or done with an entry that no longer validates — that job as
+// stale, for create to replace. Both nil: the table has no job for key.
+func (s *Server) attach(key string) (j, stale *job, err error) {
+	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		return nil, nil, errShutdown
+	}
+	j = s.jobs[key]
+	if j == nil {
+		s.mu.Unlock()
+		return nil, nil, nil
+	}
+	st := j.snapshot().state
+	if !terminal(st) {
+		s.coalesceLocked(j) // single-flight: no disk I/O for an in-flight job
+		s.mu.Unlock()
+		return j, nil, nil
+	}
+	s.mu.Unlock()
+	if st == stateFailed {
+		return nil, j, nil
+	}
+	// The entry revalidates on every attach: a corrupted or evicted file
+	// must trigger recomputation, never be served. A first validation is
+	// a full rehash of the file, so it runs with the lock released — warm
+	// submissions of large entries must not convoy the whole API behind
+	// disk I/O.
+	if _, _, _, ok := s.cache.Lookup(key); !ok {
+		return nil, j, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return nil, nil, errShutdown
+	}
+	if s.jobs[key] != j {
+		// Swept by the TTL janitor (or replaced) while the lock was
+		// released: a job out of the table is never handed out.
+		return nil, nil, nil
+	}
+	s.coalesceLocked(j)
+	return j, nil, nil
+}
+
+// coalesceLocked counts one more submission attaching to j and marks it
+// in j's trace: one "coalesced" span per job, opened by the first attach
+// and carrying the running count, so a hot key does not grow the
+// recorder by a span per hit. Caller holds s.mu.
+func (s *Server) coalesceLocked(j *job) {
+	metCoalesced.Inc()
+	j.coalesced++
+	if j.coalescedSpan == nil {
+		j.coalescedSpan = j.span.Child("coalesced")
+		j.coalescedSpan.End()
+	}
+	j.coalescedSpan.SetAttr("count", strconv.Itoa(j.coalesced))
+}
+
+// create builds the job for key and puts it in the table, replacing
+// stale (the unusable job attach found there, if any). It returns no
+// job when a different one got there first; submit then attaches to
+// that. Everything costly — the spec parse, the entry validation, a
+// hit's reduction replay, the cell enumeration of a large sweep — runs
+// before the lock is taken.
+func (s *Server) create(key string, req dist.Job, stale *job) (*job, bool, error) {
 	e, sc, err := req.Resolve()
 	if err != nil {
 		return nil, false, err
 	}
-	// The root span is opened speculatively: if this submission ends up
-	// coalescing onto an existing job, the tree is dropped again. The
-	// cache lookup (and a hit's reduction replay) happen before the job
-	// exists, so they could not otherwise nest under it.
+	// The root span is opened speculatively and dropped again if the job
+	// never enters the table: the cache lookup (and a hit's reduction
+	// replay) happen before the job exists, so they could not otherwise
+	// nest under it.
 	jobSpan := s.trace.Root("job",
 		span.Str("experiment", e.Name()), span.I64("seed", req.Seed),
 		span.Str("scale", req.Scale), span.Int("shards", req.Shards))
@@ -422,7 +509,8 @@ func (s *Server) submit(req dist.Job) (*job, bool, error) {
 	// A cache-hit-born job never runs a reduction, so its summary is
 	// recomputed by replaying the entry's records through Reduce —
 	// GET /v1/jobs/{id} then shows the same summary a computed job
-	// would. Like the entry validation, this runs before the lock.
+	// would. The job stays resident with that summary, so the replay
+	// happens once per residency, not once per hit.
 	summary := ""
 	if entryOK {
 		jobSpan.SetAttr("cache", "hit")
@@ -434,11 +522,8 @@ func (s *Server) submit(req dist.Job) (*job, bool, error) {
 		}
 		reduceSpan.End()
 	}
-	// Built speculatively before the lock: the cell enumeration of a
-	// large sweep is not free, and holding s.mu through it would convoy
-	// the whole API the same way the entry rehash above would.
-	fresh := newJob(key, req, e, sc)
-	fresh.span = jobSpan
+	j := newJob(key, req, e, sc)
+	j.span = jobSpan
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -446,39 +531,13 @@ func (s *Server) submit(req dist.Job) (*job, bool, error) {
 		s.trace.Drop(jobSpan)
 		return nil, false, errShutdown
 	}
-	if j := s.jobs[key]; j != nil {
-		st := j.snapshot().state
-		switch {
-		case !terminal(st):
-			metCoalesced.Inc()
-			j.span.Child("coalesced").End()
+	if cur := s.jobs[key]; cur != nil {
+		if cur != stale {
 			s.trace.Drop(jobSpan)
-			return j, false, nil // single-flight: attach to the in-flight job
-		case st == stateDone:
-			// The entry re-validated on this attach: a corrupted or
-			// evicted file must trigger recomputation, never be served.
-			if entryOK {
-				metCoalesced.Inc()
-				j.span.Child("coalesced").End()
-				s.trace.Drop(jobSpan)
-				return j, false, nil
-			}
-			// The job may have finished — renaming its entry into
-			// place — after the pre-lock validation ran; re-check
-			// before declaring the entry corrupt (rare path, so the
-			// rehash under the lock is acceptable here).
-			if _, _, _, ok := s.cache.Lookup(key); ok {
-				metCoalesced.Inc()
-				j.span.Child("coalesced").End()
-				s.trace.Drop(jobSpan)
-				return j, false, nil
-			}
+			return nil, false, nil
 		}
-		// Failed, or done with an invalid entry: fall through and
-		// replace, retiring the replaced job's trace with it.
-		s.trace.Drop(j.span)
+		s.trace.Drop(cur.span) // the replaced job's trace retires with it
 	}
-	j := fresh
 	if entryOK {
 		j.state = stateDone
 		j.finished = time.Now()
@@ -503,10 +562,19 @@ func (s *Server) submit(req dist.Job) (*job, bool, error) {
 	return j, true, nil
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. Inline specs are a few KB;
+// nothing legitimate comes near 1 MiB.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if req.Scale == "" {

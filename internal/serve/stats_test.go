@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -130,7 +131,7 @@ func TestEvictionEmitsEventAndCounter(t *testing.T) {
 	var log strings.Builder
 	s, ts := newTestServer(t, dir, Options{Log: &log, CacheMaxBytes: 1})
 
-	before := evictionsValue()
+	before := counterValue("meshopt_cache_evictions_total")
 	first := postJob(t, ts, `{"experiment":"servetoy","seed":63}`)
 	getRecords(t, ts, first.ID, "")
 
@@ -141,7 +142,7 @@ func TestEvictionEmitsEventAndCounter(t *testing.T) {
 	s.mu.Unlock()
 	s.enforceQuota()
 
-	if got := evictionsValue(); got <= before {
+	if got := counterValue("meshopt_cache_evictions_total"); got <= before {
 		t.Fatalf("meshopt_cache_evictions_total did not advance (%v -> %v)", before, got)
 	}
 	if !strings.Contains(log.String(), `msg="cache entry evicted"`) ||
@@ -151,11 +152,47 @@ func TestEvictionEmitsEventAndCounter(t *testing.T) {
 	}
 }
 
-func evictionsValue() float64 {
+// counterValue reads an unlabelled counter off the default registry.
+func counterValue(name string) float64 {
 	for _, f := range obs.Default.Snapshot().Families {
-		if f.Name == "meshopt_cache_evictions_total" {
+		if f.Name == name {
 			return f.Series[0].Value
 		}
 	}
 	return 0
+}
+
+// TestInFlightDuplicateNeverReachesTheCache: a second POST of a job that
+// is still running attaches from the job table alone. It counts as a
+// submission and a coalesce; it is not a cache miss (there is no entry
+// to miss yet), so hit ratios read off /v1/stats stay honest.
+func TestInFlightDuplicateNeverReachesTheCache(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), Options{})
+	atomic.StoreInt64(&toyDelay, 20)
+	defer atomic.StoreInt64(&toyDelay, 0)
+	const body = `{"experiment":"servetoy","seed":67}`
+	first := postJob(t, ts, body)
+
+	names := []string{
+		"meshopt_serve_submissions_total", "meshopt_serve_coalesced_total",
+		"meshopt_cache_hits_total", "meshopt_cache_misses_total", "meshopt_cache_revalidations_total",
+	}
+	before := map[string]float64{}
+	for _, n := range names {
+		before[n] = counterValue(n)
+	}
+	dup := postJob(t, ts, body)
+	if dup.Created || dup.ID != first.ID || terminal(dup.State) {
+		t.Fatalf("duplicate of an in-flight job: %+v (the job must still be running for this test to mean anything)", dup)
+	}
+	for i, n := range names {
+		want := before[n]
+		if i < 2 {
+			want++
+		}
+		if got := counterValue(n); got != want {
+			t.Errorf("%s moved %v -> %v, want %v", n, before[n], got, want)
+		}
+	}
+	getRecords(t, ts, first.ID, "") // let the job finish before the server stops
 }

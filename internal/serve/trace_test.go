@@ -90,3 +90,33 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("cache-hit trace contains a run:\n%s", hitTree)
 	}
 }
+
+// TestCoalescedSpanIsOnePerJob: attaches to a resident job are marked by
+// one "coalesced" span carrying their count, not by a span each — a hot
+// key must not grow the recorder for as long as its job stays resident.
+func TestCoalescedSpanIsOnePerJob(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), Options{})
+	const body = `{"experiment":"servetoy","seed":73}`
+	first := postJob(t, ts, body)
+	getRecords(t, ts, first.ID, "") // wait for completion
+
+	postJob(t, ts, body)
+	after1 := len(s.trace.Snapshot())
+	for i := 0; i < 99; i++ {
+		if sr := postJob(t, ts, body); sr.Created || sr.ID != first.ID {
+			t.Fatalf("resubmission %d did not coalesce: %+v", i, sr)
+		}
+	}
+	if n := len(s.trace.Snapshot()); n != after1 {
+		t.Fatalf("recorder grew from %d to %d spans over 99 more attaches", after1, n)
+	}
+	var marks []span.SpanData
+	for _, d := range s.trace.Snapshot() {
+		if d.Name == "coalesced" {
+			marks = append(marks, d)
+		}
+	}
+	if len(marks) != 1 || marks[0].Attr("count") != "100" {
+		t.Fatalf("coalesced markers after 100 attaches: %+v", marks)
+	}
+}

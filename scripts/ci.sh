@@ -34,6 +34,9 @@ fi
 echo "== go test -race (parallel experiment engine + shard coordinator + serve layer + trace + obs)"
 go test -race ./internal/experiments/... ./internal/dist/... ./internal/serve ./internal/trace ./internal/obs/...
 
+echo "== go test -race -count=10 (serve warm-submit attach path against the TTL janitor)"
+go test -race -count=10 -run 'WarmSubmit|AttachVsJanitor' ./internal/serve
+
 echo "== scenario schema gate (round-trip parse/marshal goldens)"
 go test ./internal/scenario -run 'TestGolden|TestBuiltinsMarshalParse' -count=1
 
