@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -278,6 +279,35 @@ func BenchmarkServeWarmSubmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got, created := submit(); created || got != id {
 			b.Fatalf("warm submit: id %.12s created=%v", got, created)
+		}
+	}
+}
+
+// BenchmarkRecordLog times one checkpoint's life in the shared record
+// log: create, append 10 k record lines one write each (as a worker
+// stream or the engine delivers them), seal (marker, fsync, rename),
+// validate. allocs/op must not grow with the line count.
+func BenchmarkRecordLog(b *testing.B) {
+	b.ReportAllocs()
+	const lines = 10_000
+	path := filepath.Join(b.TempDir(), "log.jsonl")
+	line := []byte(`{"scenario":"bench","series":"cell","cell":0,"delivered":0.875,"latency_ms":12.5,"tx":42}` + "\n")
+	b.SetBytes(int64(lines * len(line)))
+	for i := 0; i < b.N; i++ {
+		lg, err := sink.CreateLog(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < lines; n++ {
+			if _, err := lg.Write(line); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := lg.Seal(); err != nil {
+			b.Fatal(err)
+		}
+		if n, _, _, ok := sink.ValidateLog(path); !ok || n != lines {
+			b.Fatalf("sealed log: records=%d ok=%v", n, ok)
 		}
 	}
 }

@@ -36,6 +36,10 @@ func TestExitCodeConventions(t *testing.T) {
 		run  func() int
 		want int
 	}{
+		{"no subcommand", func() int { return dispatch(nil) }, 2},
+		{"unknown subcommand", func() int { return dispatch([]string{"-fig", "10"}) }, 2},
+		{"list", func() int { return dispatch([]string{"list"}) }, 0},
+
 		{"fig ok", func() int { return runFig([]string{"5", "-scale", "quick", "-o", filepath.Join(tmp, "fig5.jsonl")}) }, 0},
 		{"fig no target", func() int { return runFig(nil) }, 2},
 		{"fig unknown figure", func() int { return runFig([]string{"nosuchfig"}) }, 2},

@@ -68,11 +68,6 @@
 // submissions coalesce onto one execution, and a restarted server
 // resumes checkpointed jobs instead of recomputing. `meshopt submit`
 // and `meshopt watch` are the matching clients.
-//
-// The flag-driven figure mode (`meshopt -fig N`, `-all`) remains as a
-// deprecated alias over the same registry; `-all` now spans the whole
-// registry — netvalid and the exhaustive comparison included — not just
-// the numbered figures.
 package main
 
 import (
@@ -99,37 +94,45 @@ import (
 	"repro/internal/scenario/sink"
 )
 
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "fig":
-			os.Exit(runFig(os.Args[2:]))
-		case "merge":
-			os.Exit(runMerge(os.Args[2:]))
-		case "coord":
-			os.Exit(runCoord(os.Args[2:]))
-		case "work":
-			os.Exit(runWork(os.Args[2:]))
-		case "serve":
-			os.Exit(runServe(os.Args[2:]))
-		case "submit":
-			os.Exit(runSubmit(os.Args[2:]))
-		case "watch":
-			os.Exit(runWatch(os.Args[2:]))
-		case "stats":
-			os.Exit(runStats(os.Args[2:]))
-		case "run":
-			os.Exit(runScenario(os.Args[2:]))
-		case "trace":
-			os.Exit(runTrace(os.Args[2:]))
-		case "report":
-			os.Exit(runReport(os.Args[2:]))
-		case "list":
-			list(os.Stdout)
-			return
+func main() { os.Exit(dispatch(os.Args[1:])) }
+
+var subcommands = map[string]func(args []string) int{
+	"fig":    runFig,
+	"merge":  runMerge,
+	"coord":  runCoord,
+	"work":   runWork,
+	"serve":  runServe,
+	"submit": runSubmit,
+	"watch":  runWatch,
+	"stats":  runStats,
+	"run":    runScenario,
+	"trace":  runTrace,
+	"report": runReport,
+	"list":   func([]string) int { list(os.Stdout); return 0 },
+}
+
+// dispatch runs the subcommand args names. A missing or unknown
+// subcommand prints the usage and exits 2.
+func dispatch(args []string) int {
+	if len(args) > 0 {
+		if run, ok := subcommands[args[0]]; ok {
+			return run(args[1:])
 		}
 	}
-	legacyFigures()
+	fmt.Fprint(os.Stderr, `usage: meshopt fig <n|name|scenario> [flags]
+       meshopt merge [-o merged.jsonl] shard.jsonl ...
+       meshopt coord <n|name|scenario> -shards k -workers <n|cmd> -dir rundir [flags]
+       meshopt work   (stdio worker protocol; spawned by coord)
+       meshopt serve -cache dir [-addr :8080]   (HTTP experiment service)
+       meshopt submit <n|name|scenario> -addr http://host:port [flags]
+       meshopt watch <job-id|target> -addr http://host:port
+       meshopt stats -addr http://host:port [-metrics|-path /p]   (server observability)
+       meshopt trace <record|replay|diff> ...   (channel capture and replay)
+       meshopt report <spans.json|spans.jsonl>   (decompose a -trace capture)
+       meshopt run <scenario.json|name> [flags]
+       meshopt list
+`)
+	return 2
 }
 
 // list enumerates figure experiments and registered scenarios in one
@@ -707,103 +710,4 @@ func runScenario(args []string) int {
 	res.Print(logW)
 	fmt.Fprintf(logW, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	return 0
-}
-
-// legacyFigures is the original flag-driven figure mode, kept as a
-// deprecated alias over the experiment registry.
-func legacyFigures() {
-	fig := flag.Int("fig", 0, "deprecated: use `meshopt fig N`")
-	all := flag.Bool("all", false, "run every registered figure experiment")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	scaleName := flag.String("scale", "quick", "experiment scale: quick or paper")
-	workers := flag.Int("workers", 0, "experiment worker pool size; 0 = GOMAXPROCS")
-	doList := flag.Bool("list", false, "list figures and registered scenarios, then exit")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt fig <n|name|scenario> [flags]")
-		fmt.Fprintln(os.Stderr, "       meshopt merge [-o merged.jsonl] shard.jsonl ...")
-		fmt.Fprintln(os.Stderr, "       meshopt coord <n|name|scenario> -shards k -workers <n|cmd> -dir rundir [flags]")
-		fmt.Fprintln(os.Stderr, "       meshopt work   (stdio worker protocol; spawned by coord)")
-		fmt.Fprintln(os.Stderr, "       meshopt serve -cache dir [-addr :8080]   (HTTP experiment service)")
-		fmt.Fprintln(os.Stderr, "       meshopt submit <n|name|scenario> -addr http://host:port [flags]")
-		fmt.Fprintln(os.Stderr, "       meshopt watch <job-id|target> -addr http://host:port")
-		fmt.Fprintln(os.Stderr, "       meshopt stats -addr http://host:port [-metrics|-path /p]   (server observability)")
-		fmt.Fprintln(os.Stderr, "       meshopt report <spans.json|spans.jsonl>   (decompose a -trace capture)")
-		fmt.Fprintln(os.Stderr, "       meshopt run <scenario.json|name> [flags]")
-		fmt.Fprintln(os.Stderr, "       meshopt list")
-		fmt.Fprintln(os.Stderr, "legacy flags (deprecated aliases over the same registry):")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *doList {
-		list(os.Stdout)
-		return
-	}
-
-	runner.SetWorkers(*workers)
-	sc, err := parseScale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if !*all && *fig == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var targets []string
-	if *all {
-		targets = exp.Names()
-	} else {
-		fmt.Fprintf(os.Stderr, "note: -fig is deprecated; use `meshopt fig %d`\n", *fig)
-		name := fmt.Sprintf("fig%d", *fig)
-		if _, ok := exp.Find(name); !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %d\n", *fig)
-			os.Exit(2)
-		}
-		targets = []string{name}
-	}
-
-	start := time.Now()
-	// fig6 reduces the same cells fig3 measures; when -all runs both,
-	// capture fig3's record stream and replay it through fig6's
-	// reduction instead of paying the pairwise sweep twice.
-	var fig3Records []sink.Record
-	for _, name := range targets {
-		e, _ := exp.Find(name)
-		var res exp.Result
-		var err error
-		switch {
-		case *all && name == "fig3":
-			mem := sink.NewMemory()
-			res, err = exp.Run(e, *seed, sc, exp.Options{Sink: mem})
-			fig3Records = mem.Records()
-		case *all && name == "fig6" && fig3Records != nil:
-			res = replay(e, fig3Records)
-		default:
-			res, err = exp.Run(e, *seed, sc, exp.Options{})
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res.Print(os.Stdout)
-		fmt.Println()
-	}
-	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// replay feeds an already-gathered record stream to an experiment's
-// reduction. Capture ("trace") records ride the stream but are never
-// part of a reduction's input.
-func replay(e exp.Experiment, recs []sink.Record) exp.Result {
-	ch := make(chan sink.Record, len(recs))
-	for _, rec := range recs {
-		if rec.Series == "trace" {
-			continue
-		}
-		ch <- rec
-	}
-	close(ch)
-	return e.Reduce(ch)
 }

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -69,12 +68,8 @@ type Options struct {
 	Spawner Spawner
 	// Logger receives structured coordinator events (dispatch, retry,
 	// steal, spawn, divergence), with shard/slot/attempt/cell fields.
-	// Nil derives an info-level text logger from Log — or a discard
-	// logger when Log is nil too.
+	// Nil discards.
 	Logger *slog.Logger
-	// Log is the legacy progress writer; it only matters when Logger is
-	// nil (see above). Nil discards.
-	Log io.Writer
 	// Stream, when set, receives a live copy of the merged record stream
 	// — the same bytes written to dir/merged.jsonl — flushed at cell
 	// granularity so a consumer (the serve layer's record endpoint, a
@@ -165,7 +160,7 @@ func Run(ctx context.Context, job Job, dir string, o Options) (*Report, error) {
 		return nil, err
 	}
 	if o.Logger == nil {
-		o.Logger = obs.TextLogger(o.Log)
+		o.Logger = obs.Discard()
 	}
 	if o.Slots <= 0 {
 		o.Slots = min(job.Shards, runtime.GOMAXPROCS(0))
@@ -194,7 +189,7 @@ func Run(ctx context.Context, job Job, dir string, o Options) (*Report, error) {
 	rep := &Report{Cells: cells, Attempts: make([]int, job.Shards), Steals: make([]int, job.Shards)}
 	var pending []int
 	for i := 0; i < job.Shards; i++ {
-		if n, _, ok := ValidateRecordsFile(shardPath(dir, i)); ok {
+		if n, _, _, ok := sink.ValidateLog(shardPath(dir, i)); ok {
 			o.Logger.Info("reusing checkpoint", "shard", i, "shards", job.Shards, "records", n)
 			rep.Reused = append(rep.Reused, i)
 		} else {
@@ -649,44 +644,28 @@ func (r *run) closeReplays() {
 //
 // Beyond the whole-stream running hash, the state keeps a snapshot of
 // where the current (possibly partially merged) cell begins — line
-// count, byte offset and hash at that point, plus a hash over the
-// cell's own lines. A steal's thief is suffix-dispatched from that
-// cell: the coordinator reuses the part file's verified prefix for the
-// earlier cells and only the frontier cell's lines are replayed.
+// count, byte offset and hash at that point. A steal's thief is
+// suffix-dispatched from that cell: the coordinator resumes the part
+// file's verified prefix for the earlier cells and only the frontier
+// cell's lines are replayed.
 type shardState struct {
 	pushed int
 	h      hash.Hash // sha256 over the pushed lines ('\n' included)
-	bytes  int64     // bytes of the pushed lines ('\n' included)
 
-	curCell        int       // cell of the last pushed line, -1 before the first
-	cellStart      int       // pushed-line count where curCell begins
-	cellStartBytes int64     // byte offset where curCell begins
-	cellStartSum   []byte    // h's digest at cellStart
-	cellH          hash.Hash // sha256 over curCell's pushed lines
+	curCell        int    // cell of the last pushed line, -1 before the first
+	cellStart      int    // pushed-line count where curCell begins
+	cellStartBytes int64  // byte offset where curCell begins
+	cellStartSum   []byte // h's digest at cellStart
 }
 
 func newShardState() *shardState {
-	st := &shardState{h: sha256.New(), curCell: -1, cellH: sha256.New()}
+	st := &shardState{h: sha256.New(), curCell: -1}
 	st.cellStartSum = st.h.Sum(nil)
 	return st
 }
 
 func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_%d.jsonl", shard))
-}
-
-// hashFilePrefix hashes the first n bytes of the file at path.
-func hashFilePrefix(path string, n int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.CopyN(h, f, n); err != nil {
-		return nil, err
-	}
-	return h.Sum(nil), nil
 }
 
 // attempt runs one dispatch for one shard on the slot's long-lived
@@ -700,11 +679,11 @@ func hashFilePrefix(path string, n int64) ([]byte, error) {
 // fromCell > 0 requests a suffix dispatch (a steal's thief resuming at
 // the stolen shard's merge frontier): the worker streams only cells
 // with Index >= fromCell, the previous attempt's part file supplies the
-// earlier cells verbatim (verified by byte length and prefix hash
-// before reuse), and only the frontier cell's already-merged lines are
-// replayed through the prefix check. If the part file cannot be
-// verified the dispatch silently falls back to a full re-stream, which
-// is always correct.
+// earlier cells verbatim (sink.ResumeLog verifies them against the
+// prefix hash before reuse), and only the frontier cell's already-merged
+// lines are replayed through the prefix check. If the part file cannot
+// be verified the dispatch falls back to a full re-stream, which is
+// always correct.
 func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) error {
 	metDispatches.Inc()
 	r.o.Logger.Debug("dispatch",
@@ -740,41 +719,27 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 	defer r.setCancel(shard, nil)
 
 	st := r.states[shard]
-	part := shardPath(r.dir, shard) + ".part"
+	path := shardPath(r.dir, shard)
 
-	// A suffix dispatch reuses the part file's prefix for the cells
-	// before the frontier; the reuse is gated on the file still holding
-	// those bytes verbatim (length + prefix hash), since the victim may
-	// have died before flushing or left a torn tail.
-	suffix := fromCell > 0
-	if suffix {
-		ok := false
-		if fi, err := os.Stat(part); err == nil && fi.Size() >= st.cellStartBytes {
-			if sum, err := hashFilePrefix(part, st.cellStartBytes); err == nil && bytes.Equal(sum, st.cellStartSum) {
-				ok = true
-			}
-		}
-		if !ok {
+	// A suffix dispatch continues the previous attempt's part after the
+	// cells before the frontier — if the file still holds those bytes
+	// verbatim: the victim may have died before flushing or left a torn
+	// tail.
+	var lg *sink.Log
+	if fromCell > 0 {
+		if lg, err = sink.ResumeLog(path, st.cellStartBytes, st.cellStartSum); err != nil {
 			r.o.Logger.Warn("part file unusable for suffix dispatch, re-streaming",
-				"shard", shard, "shards", r.job.Shards, "from_cell", 0)
-			suffix, fromCell = false, 0
+				"shard", shard, "shards", r.job.Shards, "from_cell", 0, "err", err)
+			fromCell = 0
 		}
 	}
-	var pf *os.File
-	if suffix {
-		if err := os.Truncate(part, st.cellStartBytes); err != nil {
+	if fromCell == 0 {
+		if lg, err = sink.CreateLog(path); err != nil {
 			r.pool.retire(slot, pw)
 			return err
 		}
-		pf, err = os.OpenFile(part, os.O_WRONLY|os.O_APPEND, 0o644)
-	} else {
-		pf, err = os.Create(part)
 	}
-	if err != nil {
-		r.pool.retire(slot, pw)
-		return err
-	}
-	defer pf.Close()
+	defer lg.Close()
 
 	req, err := json.Marshal(workRequest{
 		Job:      r.job,
@@ -789,14 +754,14 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 	// prefix: the already-merged lines this attempt will stream again
 	// and must reproduce bit for bit. A full re-stream replays the whole
 	// merged prefix; a suffix dispatch replays only the frontier cell's
-	// lines (the earlier cells are not re-streamed at all).
+	// lines (the earlier cells are not re-streamed at all). Either way
+	// the log then holds exactly the merged stream, so its running hash
+	// must equal the shard's.
 	prefix := st.pushed
-	prefixSum := st.h.Sum(nil)
-	if suffix {
-		prefix = st.pushed - st.cellStart
-		prefixSum = st.cellH.Sum(nil)
+	if fromCell > 0 {
+		prefix -= st.cellStart
 	}
-	vh := sha256.New() // re-hash of the replayed prefix
+	prefixSum := st.h.Sum(nil)
 	ah := sha256.New() // hash of every record line this attempt streamed
 	// ready.wait covers the gap until the worker's heartbeat is consumed
 	// (the spawn cost on a fresh slot, zero-ish on a pooled one); stream
@@ -833,7 +798,7 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 				streamSp = dsp.Child("stream")
 				if prefix > 0 {
 					verifySp = streamSp.Child("verify",
-						span.Int("lines", prefix), span.Str("suffix", strconv.FormatBool(suffix)))
+						span.Int("lines", prefix), span.Str("suffix", strconv.FormatBool(fromCell > 0)))
 				}
 				if _, err := pw.w.In.Write(append(req, '\n')); err != nil {
 					workErr = fmt.Errorf("sending job: %w", err)
@@ -844,35 +809,26 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 			workErr = fmt.Errorf("worker: expected %s heartbeat, got %q", ReadyMarker, line)
 			break
 		}
-		if line[0] == '#' {
-			s := string(line)
-			if strings.HasPrefix(s, DonePrefix) {
-				n, sum, err := ParseDoneMarker(s)
-				if err != nil {
-					workErr = err
-					break
-				}
-				done, doneN, doneSum = true, n, sum
-				break
+		if !sink.IsRecord(line) {
+			// A control line ends the stream: #done, or the worker's #error.
+			if doneN, doneSum, done = sink.ParseDoneMarker(line); !done {
+				workErr = fmt.Errorf("worker: %s", line)
 			}
-			workErr = fmt.Errorf("worker: %s", s)
 			break
 		}
-		if _, err := pf.Write(append(line, '\n')); err != nil {
+		rec := append(line, '\n')
+		if _, err := lg.Write(rec); err != nil {
 			workErr = err
 			break
 		}
-		ah.Write(line)
-		ah.Write([]byte{'\n'})
+		ah.Write(rec)
 		if seen < prefix {
 			// Replaying the prefix a previous attempt merged: verify the
 			// retry reproduces it bit for bit, don't re-merge it.
-			vh.Write(line)
-			vh.Write([]byte{'\n'})
 			seen++
 			if seen == prefix {
 				verifySp.End()
-				if !bytes.Equal(vh.Sum(nil), prefixSum) {
+				if !bytes.Equal(lg.Sum(), prefixSum) {
 					workErr = fatalError{fmt.Errorf("retried shard %d reproduced different bytes than its merged prefix (%d lines) — determinism violation, not retryable", shard, prefix)}
 					break
 				}
@@ -888,18 +844,13 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 			// First line of a new cell: snapshot the stream position so a
 			// future steal can suffix-dispatch from this cell.
 			st.cellStart = st.pushed
-			st.cellStartBytes = st.bytes
+			st.cellStartBytes = lg.Boundary() - int64(len(rec))
 			st.cellStartSum = st.h.Sum(nil)
-			st.cellH = sha256.New()
 			st.curCell = cell
 			shardCell.Set(float64(cell))
 		}
-		st.h.Write(line)
-		st.h.Write([]byte{'\n'})
-		st.cellH.Write(line)
-		st.cellH.Write([]byte{'\n'})
+		st.h.Write(rec)
 		st.pushed++
-		st.bytes += int64(len(line)) + 1
 		seen++
 	}
 	if workErr == nil {
@@ -949,21 +900,12 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 	stopWatch()
 	cancel(nil)
 
-	// The checkpoint's completion marker is computed by the coordinator
-	// over the whole merged stream — a suffix dispatch's worker only
-	// declared the suffix — so every checkpoint stays self-validating no
-	// matter how its bytes were assembled. On a full dispatch this is
-	// byte-identical to the marker the worker sent.
-	if _, err := fmt.Fprintf(pf, "%s\n", DoneMarker(st.pushed, st.h.Sum(nil))); err != nil {
-		return err
-	}
-	if err := pf.Sync(); err != nil {
-		return err
-	}
-	if err := pf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(part, shardPath(r.dir, shard)); err != nil {
+	// The checkpoint's completion marker is the log's own — over the
+	// whole merged stream, where a suffix dispatch's worker only declared
+	// the suffix — so every checkpoint stays self-validating no matter how
+	// its bytes were assembled. On a full dispatch it is byte-identical to
+	// the marker the worker sent.
+	if err := lg.Seal(); err != nil {
 		return err
 	}
 	if err := r.closeShard(shard); err != nil {
@@ -989,60 +931,8 @@ func (r *run) finishMerge(cells int) (exp.Result, error) {
 	return res, err
 }
 
-// ValidateRecordsFile checks a '#done'-terminated records file — a
-// coordinator shard checkpoint, a serve cache entry, or any other
-// artifact using the self-validating marker format: every record line
-// hashed (newlines included), terminated by a matching completion
-// marker. dataBytes is the byte offset where the marker line starts,
-// i.e. the length of the record region a consumer may stream verbatim.
-// Anything else — truncation, a flipped byte, a missing marker —
-// invalidates the file (ok false) and the artifact must be recomputed.
-func ValidateRecordsFile(path string) (records int, dataBytes int64, ok bool) {
-	records, dataBytes, _, ok = ValidateRecordsFileSum(path)
-	return records, dataBytes, ok
-}
-
-// ValidateRecordsFileSum is ValidateRecordsFile, additionally returning
-// the verified stream's hex SHA-256, so a caller maintaining an index
-// over validated artifacts (the serve layer's cache) gets the digest
-// from the same pass instead of rehashing.
+// ValidateRecordsFileSum is sink.ValidateLog under the name the
+// benchmark module calls.
 func ValidateRecordsFileSum(path string) (records int, dataBytes int64, sum string, ok bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, "", false
-	}
-	defer f.Close()
-	h := sha256.New()
-	n := 0
-	var off int64
-	sawDone := false
-	sc := sink.NewLineScanner(f)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			off++ // a bare newline
-			continue
-		}
-		if sawDone {
-			return 0, 0, "", false // data after the completion marker
-		}
-		if line[0] == '#' {
-			dn, dsum, err := ParseDoneMarker(string(line))
-			if err != nil || dn != n || dsum != hex.EncodeToString(h.Sum(nil)) {
-				return 0, 0, "", false
-			}
-			dataBytes = off
-			sum = dsum
-			sawDone = true
-			continue
-		}
-		h.Write(line)
-		h.Write([]byte{'\n'})
-		n++
-		off += int64(len(line)) + 1
-	}
-	if sc.Err() != nil || !sawDone {
-		return 0, 0, "", false
-	}
-	return n, dataBytes, sum, true
+	return sink.ValidateLog(path)
 }

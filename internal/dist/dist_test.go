@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -206,11 +207,11 @@ func TestCoordGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	// The healthy shards must have checkpointed for the resume.
 	for _, i := range []int{0, 2} {
-		if _, _, ok := ValidateRecordsFile(shardPath(dir, i)); !ok {
+		if _, _, _, ok := sink.ValidateLog(shardPath(dir, i)); !ok {
 			t.Fatalf("shard %d not checkpointed after the run failed", i)
 		}
 	}
-	if _, _, ok := ValidateRecordsFile(shardPath(dir, 1)); ok {
+	if _, _, _, ok := sink.ValidateLog(shardPath(dir, 1)); ok {
 		t.Fatal("failed shard 1 validated as complete")
 	}
 	// Resume without faults: only shard 1 is re-dispatched.
@@ -260,7 +261,7 @@ func TestCoordStealUnwedgesHungWorkerMidShard(t *testing.T) {
 	}
 }
 
-// syncBuf is a goroutine-safe Options.Log sink (shard goroutines log
+// syncBuf is a goroutine-safe log buffer (shard goroutines log
 // concurrently).
 type syncBuf struct {
 	mu  sync.Mutex
@@ -295,7 +296,7 @@ func TestCoordStealSuffixDispatchResumesAtFrontier(t *testing.T) {
 		Spawner:    sp,
 		Backoff:    1,
 		StealAfter: 50 * time.Millisecond,
-		Log:        &log,
+		Logger:     slog.New(slog.NewTextHandler(&log, nil)),
 	})
 	if rep.Steals[1] == 0 {
 		t.Fatalf("shard 1 was never stolen (attempts %v, steals %v)", rep.Attempts, rep.Steals)
@@ -306,7 +307,7 @@ func TestCoordStealSuffixDispatchResumesAtFrontier(t *testing.T) {
 	// A checkpoint assembled from a reused prefix plus the thief's
 	// suffix must still be a valid, self-validating artifact (the
 	// coordinator writes the whole-stream marker itself).
-	if n, _, ok := ValidateRecordsFile(shardPath(dir, 1)); !ok || n != 3 {
+	if n, _, _, ok := sink.ValidateLog(shardPath(dir, 1)); !ok || n != 3 {
 		t.Fatalf("suffix-assembled checkpoint invalid: records=%d ok=%v", n, ok)
 	}
 }
@@ -329,7 +330,7 @@ func TestCoordBroadcastChaosKillAndStealByteIdentical(t *testing.T) {
 		Spawner:    sp,
 		Backoff:    1,
 		StealAfter: 50 * time.Millisecond,
-		Log:        &log,
+		Logger:     slog.New(slog.NewTextHandler(&log, nil)),
 	})
 	if rep.Attempts[1] != 2 {
 		t.Fatalf("killed shard 1 took %d attempts, want 2", rep.Attempts[1])
@@ -569,7 +570,7 @@ func TestValidateShardFileRejectsGarbage(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := ValidateRecordsFile(path); ok {
+		if _, _, _, ok := sink.ValidateLog(path); ok {
 			t.Fatalf("%s: validated", name)
 		}
 	}

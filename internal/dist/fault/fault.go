@@ -26,9 +26,6 @@
 //	                explicit @<records> derive their cut point from
 //	                (seed, shard, attempt), so chaos runs explore
 //	                different cut points while staying reproducible
-//
-// The legacy MESHOPT_WORK_FAIL=<shard>@<records> hook parses as
-// <shard>/kill@<records>.
 package fault
 
 import (
@@ -170,28 +167,13 @@ func parseFault(clause string) (Fault, error) {
 }
 
 // EnvVar is the environment variable carrying a schedule spec across a
-// process boundary; LegacyEnvVar is the old kill-only hook it subsumes.
-const (
-	EnvVar       = "MESHOPT_FAULT"
-	LegacyEnvVar = "MESHOPT_WORK_FAIL"
-)
+// process boundary.
+const EnvVar = "MESHOPT_FAULT"
 
-// FromEnv parses the schedule from MESHOPT_FAULT, falling back to the
-// legacy MESHOPT_WORK_FAIL=<shard>@<records> kill hook. An unset (or
-// malformed legacy) environment yields an empty schedule.
+// FromEnv parses the schedule from MESHOPT_FAULT. An unset environment
+// yields an empty schedule.
 func FromEnv() (*Schedule, error) {
-	if spec := os.Getenv(EnvVar); spec != "" {
-		return Parse(spec)
-	}
-	if legacy := os.Getenv(LegacyEnvVar); legacy != "" {
-		shardStr, afterStr, ok := strings.Cut(legacy, "@")
-		shard, err1 := strconv.Atoi(shardStr)
-		after, err2 := strconv.Atoi(afterStr)
-		if ok && err1 == nil && err2 == nil {
-			return &Schedule{Faults: []Fault{{Shard: shard, Kind: Kill, After: after}}}, nil
-		}
-	}
-	return &Schedule{}, nil
+	return Parse(os.Getenv(EnvVar))
 }
 
 // For returns the injector for one request (shard, attempt), or nil if

@@ -60,24 +60,19 @@ func TestParseEmpty(t *testing.T) {
 	}
 }
 
-func TestLegacyEnv(t *testing.T) {
+func TestFromEnv(t *testing.T) {
 	t.Setenv(EnvVar, "")
-	t.Setenv(LegacyEnvVar, "1@2")
 	s, err := FromEnv()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(s.Faults) != 0 {
+		t.Fatalf("unset env parsed as %+v, %v", s, err)
 	}
-	if len(s.Faults) != 1 || s.Faults[0] != (Fault{Shard: 1, Kind: Kill, After: 2}) {
-		t.Fatalf("legacy env parsed as %+v", s.Faults)
-	}
-	// MESHOPT_FAULT wins over the legacy hook.
 	t.Setenv(EnvVar, "2/kill@0")
 	s, err = FromEnv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Faults) != 1 || s.Faults[0].Shard != 2 {
-		t.Fatalf("env precedence broken: %+v", s.Faults)
+	if len(s.Faults) != 1 || s.Faults[0] != (Fault{Shard: 2, Kind: Kill, After: 0}) {
+		t.Fatalf("env parsed as %+v", s.Faults)
 	}
 }
 

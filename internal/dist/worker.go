@@ -3,13 +3,11 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 
 	"repro/internal/dist/fault"
 	"repro/internal/experiments/exp"
@@ -70,52 +68,24 @@ type workRequest struct {
 // every completed request: the coordinator's dispatch handshake.
 const ReadyMarker = "#ready"
 
-// DonePrefix starts the '#done records=N sha256=H' completion marker
-// terminating every checkpointed record stream. The marker makes the
-// artifact self-validating, so the format is shared beyond the worker
-// protocol: coordinator shard checkpoints, serve cache entries, and any
-// other subsystem that wants crash-safe record files all reuse it.
-const DonePrefix = "#done "
-
 const errorPrefix = "#error "
 
-// DoneMarker formats the completion marker for a stream of `records`
-// record lines whose bytes (newlines included) hash to sum.
-func DoneMarker(records int, sum []byte) string {
-	return fmt.Sprintf("%srecords=%d sha256=%x", DonePrefix, records, sum)
-}
-
-// ParseDoneMarker extracts (records, sha256) from a completion marker
-// line.
-func ParseDoneMarker(line string) (records int, sum string, err error) {
-	rest := strings.TrimPrefix(line, DonePrefix)
-	if _, err := fmt.Sscanf(rest, "records=%d sha256=%s", &records, &sum); err != nil {
-		return 0, "", fmt.Errorf("dist: malformed completion marker %q", line)
-	}
-	return records, sum, nil
-}
-
-// shardSink streams records as hashed, counted JSONL lines, flushed per
-// record so the coordinator observes progress live, applying any armed
-// fault injector at each record boundary.
+// shardSink streams records as live JSONL — flushed per record so the
+// coordinator observes progress — applying any armed fault injector at
+// each record boundary.
 type shardSink struct {
 	jsonl *sink.JSONL
-	n     int
+	tally *sink.Tally // what has been streamed so far
 	inj   *fault.Injector
 }
 
 func (s *shardSink) Write(rec sink.Record) error {
-	if err := s.inj.BeforeRecord(s.n); err != nil {
-		// Flush the prefix so the coordinator sees a cleanly cut stream,
-		// then die like a killed process would: no marker.
-		s.jsonl.Close()
+	if err := s.inj.BeforeRecord(s.tally.Records()); err != nil {
+		// Die like a killed process would: the stream is cut at a record
+		// boundary (nothing is buffered), no marker.
 		return err
 	}
-	if err := s.jsonl.Write(rec); err != nil {
-		return err
-	}
-	s.n++
-	return s.jsonl.Flush()
+	return s.jsonl.Write(rec)
 }
 
 func (s *shardSink) Close() error { return s.jsonl.Close() }
@@ -159,9 +129,8 @@ func (c *corruptWriter) Write(p []byte) (int, error) {
 
 // ServeWork runs the worker side of the stdio protocol on (in, out),
 // serving shard requests until in reaches EOF. The fault schedule is
-// read from the environment (MESHOPT_FAULT, or the legacy
-// MESHOPT_WORK_FAIL kill hook). cmd/meshopt's `work` subcommand is a
-// direct wrapper.
+// read from the environment (MESHOPT_FAULT). cmd/meshopt's `work`
+// subcommand is a direct wrapper.
 func ServeWork(in io.Reader, out io.Writer) error {
 	return ServeWorkLogged(in, out, nil)
 }
@@ -246,14 +215,14 @@ func serveShard(req workRequest, out io.Writer, sched *fault.Schedule, release <
 	}
 	inj := sched.For(req.Shard.Index, attempt, release)
 
-	h := sha256.New()
+	tally := sink.NewTally()
 	var lineW io.Writer = out
 	if inj != nil {
 		lineW = &corruptWriter{w: out, inj: inj, bol: true}
 	}
-	// The hash writer comes first so it always sees the clean bytes;
-	// corruption (if scheduled) happens on the transport copy only.
-	snk := &shardSink{jsonl: sink.NewJSONL(io.MultiWriter(h, lineW)), inj: inj}
+	// The tally comes first so it always sees the clean bytes; corruption
+	// (if scheduled) happens on the transport copy only.
+	snk := &shardSink{jsonl: sink.NewLiveJSONL(io.MultiWriter(tally, lineW)), tally: tally, inj: inj}
 	_, runErr := exp.Run(e, req.Job.Seed, sc, exp.Options{Sink: snk, Shard: req.Shard, FromCell: req.FromCell})
 	if runErr == nil {
 		runErr = snk.Close()
@@ -265,6 +234,6 @@ func serveShard(req workRequest, out io.Writer, sched *fault.Schedule, release <
 	if runErr != nil {
 		return fail(runErr)
 	}
-	_, err = fmt.Fprintf(out, "%s\n", DoneMarker(snk.n, h.Sum(nil)))
+	_, err = fmt.Fprintf(out, "%s\n", tally.Marker())
 	return err
 }

@@ -129,7 +129,7 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 	advance := func(c *cursor) error {
 		for c.sc.Scan() {
 			line := c.sc.Bytes()
-			if len(line) == 0 || line[0] == '#' {
+			if !sink.IsRecord(line) {
 				continue
 			}
 			rec, err := sink.DecodeJSONL(line)

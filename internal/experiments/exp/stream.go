@@ -99,7 +99,7 @@ func (m *Merger) Push(shard int, line []byte) error {
 	if m.closed[shard] {
 		return fmt.Errorf("exp: merger: push on closed shard %d", shard)
 	}
-	if len(line) == 0 || line[0] == '#' {
+	if !sink.IsRecord(line) {
 		return nil
 	}
 	rec, err := sink.DecodeJSONL(line)

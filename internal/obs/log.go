@@ -48,12 +48,5 @@ func ParseFormat(s string) (string, error) {
 	return "", fmt.Errorf("unknown log format %q (want text|json)", s)
 }
 
-// TextLogger wraps an io.Writer (possibly nil) in an info-level text
-// logger — the back-compat bridge for code paths that still configure a
-// plain Log writer instead of a *slog.Logger.
-func TextLogger(w io.Writer) *slog.Logger {
-	return NewLogger(w, slog.LevelInfo, "text")
-}
-
 // Discard returns a logger that drops every record.
 func Discard() *slog.Logger { return slog.New(slog.DiscardHandler) }

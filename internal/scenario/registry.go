@@ -11,8 +11,9 @@ import (
 	_ "repro/internal/experiments"
 )
 
-// builtins reproduce the examples/ programs as data, plus fig10/fig14
-// entries that delegate to the experiment registry. Each is a plain
+// builtins are the named walk-through scenarios (quickstart, capacity,
+// fairness, starvation), plus fig10/fig14 entries that delegate to the
+// experiment registry. Each is a plain
 // Spec literal; `meshopt run <name>` executes it and `meshopt list`
 // enumerates the non-delegate ones (figures are listed from the
 // experiment registry directly).

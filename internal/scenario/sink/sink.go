@@ -51,13 +51,24 @@ type Sink interface {
 // the record, so output is byte-identical across runs that stream the
 // same records.
 type JSONL struct {
-	w   *bufio.Writer
-	buf []byte
+	w    *bufio.Writer
+	buf  []byte
+	live bool // flush after every record
 }
 
 // NewJSONL wraps w in a line-buffered JSONL sink.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriter(w)}
+}
+
+// NewLiveJSONL is NewJSONL for a stream someone is watching or may have
+// to resume — a worker's protocol stream, a checkpoint tailed by clients:
+// every record is flushed as it is written, so the bytes downstream
+// always end at a record boundary.
+func NewLiveJSONL(w io.Writer) *JSONL {
+	j := NewJSONL(w)
+	j.live = true
+	return j
 }
 
 // Write emits rec as one JSON line.
@@ -78,17 +89,14 @@ func (j *JSONL) Write(rec Record) error {
 	b = append(b, '}', '\n')
 	j.buf = b
 	_, err := j.w.Write(b)
+	if err == nil && j.live {
+		err = j.w.Flush()
+	}
 	return err
 }
 
 // Close flushes the buffered output.
 func (j *JSONL) Close() error { return j.w.Flush() }
-
-// Flush forces buffered lines to the underlying writer without closing
-// the sink. Live consumers (a serving layer tailing the stream, a
-// checkpoint that must survive a crash) flush per record so the bytes
-// on disk always end at a record boundary.
-func (j *JSONL) Flush() error { return j.w.Flush() }
 
 // appendJSONValue marshals v onto b. Non-finite floats, which
 // encoding/json rejects, are written as null so a degenerate cell cannot

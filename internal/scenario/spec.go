@@ -5,8 +5,8 @@
 // experiment runner, and streams per-cell records into a result sink in
 // deterministic cell order (bit-identical output for any worker count).
 //
-// A registry of named built-in scenarios reproduces the examples/
-// programs as data, and the fig10/fig14 entries drive the ported figure
+// A registry of named built-in scenarios holds the walk-through
+// workloads as data, and the fig10/fig14 entries drive the ported figure
 // suites through the same spec + sink plumbing (see cmd/meshopt's `run`
 // and `list` subcommands).
 package scenario

@@ -87,14 +87,11 @@ func mustCompactSpec(spec *scenario.Spec) json.RawMessage {
 	return b
 }
 
-// Cache is the content-addressed on-disk result store: one
-// `<key>.jsonl` per finished job, holding the job's record stream
-// terminated by the same self-validating `#done records=N sha256=H`
-// marker the distributed coordinator stamps on shard checkpoints. An
-// in-flight job accumulates in `<key>.jsonl.part` (flushed at record
-// granularity) and is renamed into place only once the marker is
-// written, so a crash at any point leaves either a valid entry or a
-// resumable prefix — never a corrupt entry that Lookup would serve.
+// Cache is the content-addressed on-disk result store: one record log
+// (sink.Log) per job, `<key>.jsonl` once sealed. An in-flight job
+// accumulates in the log's part file, flushed at record granularity, so
+// a crash at any point leaves either a valid entry or a resumable
+// prefix — never a corrupt entry that Lookup would serve.
 //
 // Alongside the entries the cache keeps an advisory index
 // (`index.json`) of validated metadata — record count, stream SHA-256,
@@ -179,11 +176,6 @@ func (c *Cache) EntryPath(key string) string {
 	return filepath.Join(c.dir, key+".jsonl")
 }
 
-// PartPath is the in-flight checkpoint for a key.
-func (c *Cache) PartPath(key string) string {
-	return c.EntryPath(key) + ".part"
-}
-
 // RunDir is the coordinator run directory a sharded execution of key
 // uses for its shard checkpoints.
 func (c *Cache) RunDir(key string) string {
@@ -229,7 +221,7 @@ func (c *Cache) Lookup(key string) (path string, records int, dataBytes int64, o
 func (c *Cache) Revalidate(key string) (path string, records int, dataBytes int64, ok bool) {
 	path = c.EntryPath(key)
 	metCacheRevalidations.Inc()
-	records, dataBytes, sum, ok := dist.ValidateRecordsFileSum(path)
+	records, dataBytes, sum, ok := sink.ValidateLog(path)
 	if !ok {
 		c.mu.Lock()
 		if _, had := c.index[key]; had {
@@ -245,12 +237,12 @@ func (c *Cache) Revalidate(key string) (path string, records int, dataBytes int6
 	return path, records, dataBytes, true
 }
 
-// Seal records a just-finished entry in the index. The writer that
-// produced the entry already holds its record count, record-region
-// length and stream hash — the values the completion marker was built
-// from — so sealing costs one stat, never a rehash.
-func (c *Cache) Seal(key string, records int, dataBytes int64, sum []byte) {
-	c.seal(key, records, dataBytes, hex.EncodeToString(sum))
+// Seal records a just-sealed log in the index. The log already holds its
+// record count, record-region length and stream hash — the values its
+// completion marker was built from — so sealing costs one stat, never a
+// rehash.
+func (c *Cache) Seal(key string, lg *sink.Log) {
+	c.seal(key, lg.Records(), lg.Boundary(), hex.EncodeToString(lg.Sum()))
 }
 
 func (c *Cache) seal(key string, records int, dataBytes int64, sum string) {
@@ -490,44 +482,25 @@ func (c *Cache) ImportRunDir(dir string) (key string, err error) {
 	}
 	defer merged.Close()
 
-	part := c.PartPath(key)
-	f, err := os.Create(part)
+	lg, err := sink.CreateLog(c.EntryPath(key))
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	h := sha256.New()
-	n := 0
-	var dataBytes int64
+	defer lg.Close()
 	sc := sink.NewLineScanner(merged)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 || line[0] == '#' {
-			continue
+		if line := sc.Bytes(); sink.IsRecord(line) {
+			if _, err := lg.Write(append(line, '\n')); err != nil {
+				return "", err
+			}
 		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			return "", err
-		}
-		h.Write(line)
-		h.Write([]byte{'\n'})
-		n++
-		dataBytes += int64(len(line)) + 1
 	}
 	if err := sc.Err(); err != nil {
 		return "", err
 	}
-	if _, err := fmt.Fprintf(f, "%s\n", dist.DoneMarker(n, h.Sum(nil))); err != nil {
+	if err := lg.Seal(); err != nil {
 		return "", err
 	}
-	if err := f.Sync(); err != nil {
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	if err := os.Rename(part, c.EntryPath(key)); err != nil {
-		return "", err
-	}
-	c.Seal(key, n, dataBytes, h.Sum(nil))
+	c.Seal(key, lg)
 	return key, nil
 }

@@ -1,18 +1,12 @@
 package serve
 
 import (
-	"bytes"
-	"crypto/sha256"
+	"context"
 	"errors"
-	"fmt"
-	"hash"
-	"io"
 	"os"
 	"strings"
 	"sync"
 	"time"
-
-	"context"
 
 	"repro/internal/dist"
 	"repro/internal/experiments/exp"
@@ -140,204 +134,113 @@ func (j *job) snapshot() view {
 // terminal reports whether a state is final.
 func terminal(state string) bool { return state == stateDone || state == stateFailed }
 
-// --- in-process execution ---------------------------------------------
+// --- execution ----------------------------------------------------------
 
-// countWriter counts bytes on their way to the underlying writer.
-type countWriter struct {
-	w io.Writer
-	n int64
+// logPublisher is the one writer between a job's producer and its record
+// log: bytes go to the log, and whenever they complete a line the new
+// high-water mark is published so tailing clients wake immediately. Only
+// whole lines are ever published — a consumer never observes a torn
+// record even when the coordinator's merger flushes mid-line.
+type logPublisher struct {
+	s   *Server
+	j   *job
+	log *sink.Log
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
+func (p *logPublisher) Write(b []byte) (int, error) {
+	if p.s.closed.Load() {
+		return 0, errShutdown
+	}
+	before := p.log.Boundary()
+	n, err := p.log.Write(b)
+	if records, bytes := p.log.Records(), p.log.Boundary(); bytes != before {
+		p.j.publish(func(j *job) {
+			j.records = records
+			j.bytes = bytes
+		})
+	}
 	return n, err
 }
 
-// jobSink streams one job's records to its checkpoint file, flushing
-// per record so the bytes on disk always end at a record boundary, and
-// publishes the new high-water mark after every record so tailing
-// clients wake immediately.
-type jobSink struct {
-	s       *Server
-	j       *job
-	enc     *sink.JSONL
-	cw      *countWriter
-	base    int // records in the resumed prefix
-	written int
-}
-
-func (ws *jobSink) Write(rec sink.Record) error {
-	if ws.s.closed.Load() {
-		return errShutdown
+// run executes a job into its record log — the cache part file — and
+// seals it into the cache. Only the producer differs between a plain job
+// and a wide one (shards > 1).
+//
+// The in-process engine resumes inside the stream: a valid part prefix
+// left by an interrupted run is kept and the engine starts at the first
+// missing cell (exp.Options.FromCell) — determinism makes the recomputed
+// suffix continue the stream bit-for-bit. The coordinator resumes from
+// its own shard checkpoints in the job's run directory, so its part is
+// rebuilt from the live merged stream (replayed shards arrive instantly;
+// nothing completed is recomputed).
+//
+// ctx makes Shutdown a real cancellation: the engine stops claiming cells
+// at the next boundary, the coordinator kills its workers, and the part
+// keeps its valid prefix for the next resume.
+func (s *Server) run(ctx context.Context, j *job) error {
+	entry := s.cache.EntryPath(j.key)
+	sharded := j.req.Shards > 1
+	var pre sink.Prefix
+	if !sharded {
+		pre = sink.ScanPart(entry, j.multi, j.cells)
 	}
-	if err := ws.enc.Write(rec); err != nil {
-		return err
-	}
-	if err := ws.enc.Flush(); err != nil {
-		return err
-	}
-	ws.written++
-	records, bytes := ws.base+ws.written, ws.cw.n
-	ws.j.publish(func(j *job) {
-		j.records = records
-		j.bytes = bytes
-	})
-	return nil
-}
-
-func (ws *jobSink) Close() error { return ws.enc.Flush() }
-
-// partInfo describes the complete-cell prefix of a checkpointed part
-// file.
-type partInfo struct {
-	cells   int
-	records int
-	bytes   int64
-}
-
-// validatePart scans an interrupted job's part checkpoint and returns
-// the prefix of complete cells worth keeping: records must be
-// newline-terminated (a final line cut before its '\n' is a torn
-// write, not a record), must decode, cells must be gapless from 0, and
-// — for experiments whose cells emit several records — the final cell
-// is dropped, since its completeness is unknowable without the next
-// cell's first record. Any undecodable or out-of-order line ends the
-// valid prefix (a torn write, a flipped byte): everything from it on
-// is discarded and recomputed, which determinism makes byte-identical
-// to what was lost.
-func validatePart(path string, multi bool, totalCells int) (partInfo, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return partInfo{}, false
-	}
-	var keep partInfo
-	cur := -1
-	records := 0
-	var off int64
-scan:
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // torn final write: no trailing newline, not a record
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(line) == 0 || line[0] == '#' {
-			break // parts never hold markers or blanks; treat as damage
-		}
-		rec, err := sink.DecodeJSONL(line)
-		if err != nil {
-			break
-		}
-		switch {
-		case rec.Cell == cur && multi:
-			// another record of the current cell
-		case rec.Cell == cur+1:
-			// cell boundary: everything before this line is complete
-			keep = partInfo{cells: rec.Cell, records: records, bytes: off}
-			cur = rec.Cell
-		default:
-			break scan
-		}
-		records++
-		off += int64(nl) + 1
-		if !multi {
-			keep = partInfo{cells: cur + 1, records: records, bytes: off}
-		}
-	}
-	if keep.cells > totalCells {
-		return partInfo{}, false // a stale part from a different enumeration
-	}
-	return keep, keep.cells > 0
-}
-
-// hashPrefix feeds the first n bytes of path into h.
-func hashPrefix(path string, n int64, h hash.Hash) error {
-	f, err := os.Open(path)
+	lg, err := sink.ResumeLog(entry, pre.Bytes, nil)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	_, err = io.CopyN(h, f, n)
-	return err
-}
-
-// runLocal executes a job on the in-process engine, checkpointing the
-// record stream to the cache part file as cells complete. A valid part
-// prefix left by an interrupted run is kept: the engine resumes at the
-// first missing cell (exp.Options.FromCell) and the recomputed suffix
-// continues the stream bit-for-bit — the determinism contract is what
-// makes "resume" and "recompute" indistinguishable in the output.
-func (s *Server) runLocal(ctx context.Context, j *job) error {
-	part := s.cache.PartPath(j.key)
-	pre, resuming := validatePart(part, j.multi, j.cells)
-	if !resuming {
-		pre = partInfo{}
-	}
-	h := sha256.New()
-	var f *os.File
-	var err error
-	if resuming {
-		if err := os.Truncate(part, pre.bytes); err != nil {
-			return err
-		}
-		if err := hashPrefix(part, pre.bytes, h); err != nil {
-			return err
-		}
-		if f, err = os.OpenFile(part, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-			return err
-		}
+	defer lg.Close()
+	if pre.Cells > 0 {
 		s.o.Logger.Info("job resuming from checkpoint",
-			"job", j.key[:12], "resumed_cells", pre.cells, "cells", j.cells)
-	} else if f, err = os.Create(part); err != nil {
-		return err
+			"job", j.key[:12], "resumed_cells", pre.Cells, "cells", j.cells)
 	}
-	defer f.Close()
-
-	cw := &countWriter{w: f, n: pre.bytes}
-	ws := &jobSink{s: s, j: j, enc: sink.NewJSONL(io.MultiWriter(cw, h)), cw: cw, base: pre.records}
 	j.publish(func(j *job) {
-		j.resumedCells = pre.cells
-		j.cellsDone = pre.cells
-		j.records = pre.records
-		j.bytes = pre.bytes
-		j.path = part
+		j.resumedCells = pre.Cells
+		j.cellsDone = pre.Cells
+		j.records = pre.Records
+		j.bytes = pre.Bytes
+		j.path = sink.PartPath(entry)
 	})
 
-	// The server context makes Shutdown a real cancellation: the engine
-	// stops claiming cells at the next boundary instead of computing the
-	// rest of the sweep into a sink that refuses every write.
-	res, err := exp.Run(j.e, j.req.Seed, j.sc, exp.Options{
-		Sink:     ws,
-		FromCell: pre.cells,
-		Context:  ctx,
-		Progress: func(done, _ int) {
-			j.publish(func(j *job) { j.cellsDone = pre.cells + done })
-		},
-	})
+	out := &logPublisher{s: s, j: j, log: lg}
+	var res exp.Result
+	reused := 0
+	if sharded {
+		var rep *dist.Report
+		rep, err = dist.Run(ctx, j.req, s.cache.RunDir(j.key), dist.Options{
+			Slots:   s.o.Slots,
+			Spawner: s.o.Spawner,
+			Logger:  s.o.Logger.With("job", j.key[:12]),
+			Stream:  out,
+			Progress: func(p dist.Progress) {
+				j.publish(func(j *job) { j.cellsDone = p.MergedCells })
+			},
+		})
+		if err == nil {
+			res, reused = rep.Result, len(rep.Reused)
+		}
+	} else {
+		res, err = exp.Run(j.e, j.req.Seed, j.sc, exp.Options{
+			Sink:     sink.NewLiveJSONL(out),
+			FromCell: pre.Cells,
+			Context:  ctx,
+			Progress: func(done, _ int) {
+				j.publish(func(j *job) { j.cellsDone = pre.Cells + done })
+			},
+		})
+	}
 	if err != nil {
-		return err // the part keeps its valid prefix for the next resume
-	}
-	if _, err := fmt.Fprintf(f, "%s\n", dist.DoneMarker(pre.records+ws.written, h.Sum(nil))); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := lg.Seal(); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(part, s.cache.EntryPath(j.key)); err != nil {
-		return err
-	}
-	s.cache.Seal(j.key, pre.records+ws.written, cw.n, h.Sum(nil))
+	s.cache.Seal(j.key, lg)
 	if res == nil {
 		// A resumed run (FromCell > 0) skips the engine's reduction —
 		// its stream lacks the prefix. The finished entry holds the
 		// whole stream, so replay it: the job's summary must not
 		// depend on whether a restart happened along the way.
-		if res, err = reduceEntry(j.e, s.cache.EntryPath(j.key)); err != nil {
+		if res, err = reduceEntry(j.e, entry); err != nil {
 			return err
 		}
 	}
@@ -349,7 +252,8 @@ func (s *Server) runLocal(ctx context.Context, j *job) error {
 	}
 	j.publish(func(j *job) {
 		j.state = stateDone
-		j.path = s.cache.EntryPath(j.key)
+		j.path = entry
+		j.reusedShards = reused
 		j.summary = summary
 	})
 	return nil
@@ -369,7 +273,7 @@ func reduceEntry(e exp.Experiment, path string) (exp.Result, error) {
 	sc := sink.NewLineScanner(f)
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(line) == 0 || line[0] == '#' {
+		if !sink.IsRecord(line) {
 			continue
 		}
 		rec, err := sink.DecodeJSONL(line)
@@ -386,97 +290,4 @@ func reduceEntry(e exp.Experiment, path string) (exp.Result, error) {
 	close(ch)
 	res := <-done
 	return res, sc.Err()
-}
-
-// --- coordinator execution --------------------------------------------
-
-// lineTee receives the live merged stream of a coordinator run: bytes
-// go to the part checkpoint and the running hash, but only whole lines
-// are published — a consumer never observes a torn record even when the
-// merger's buffer flushes mid-line.
-type lineTee struct {
-	s         *Server
-	j         *job
-	f         io.Writer
-	h         hash.Hash
-	n         int64 // bytes written
-	published int64 // bytes up to the last newline
-	lines     int
-}
-
-func (t *lineTee) Write(p []byte) (int, error) {
-	if t.s.closed.Load() {
-		return 0, errShutdown
-	}
-	if _, err := t.f.Write(p); err != nil {
-		return 0, err
-	}
-	t.h.Write(p)
-	t.n += int64(len(p))
-	t.lines += bytes.Count(p, []byte{'\n'})
-	if i := bytes.LastIndexByte(p, '\n'); i >= 0 {
-		t.published = t.n - int64(len(p)-i-1)
-		records, published := t.lines, t.published
-		t.j.publish(func(j *job) {
-			j.records = records
-			j.bytes = published
-		})
-	}
-	return len(p), nil
-}
-
-// runDist executes a wide job (shards > 1) through the distributed
-// coordinator. The coordinator owns checkpoint/resume at shard
-// granularity in the job's run directory; the part file is rebuilt each
-// attempt from the live merged stream (replayed shards arrive instantly
-// from their checkpoints, so nothing completed is recomputed).
-func (s *Server) runDist(ctx context.Context, j *job) error {
-	part := s.cache.PartPath(j.key)
-	f, err := os.Create(part)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tee := &lineTee{s: s, j: j, f: f, h: sha256.New()}
-	j.publish(func(j *job) { j.path = part })
-
-	rep, err := dist.Run(ctx, j.req, s.cache.RunDir(j.key), dist.Options{
-		Slots:   s.o.Slots,
-		Spawner: s.o.Spawner,
-		Logger:  s.o.Logger.With("job", j.key[:12]),
-		Stream:  tee,
-		Progress: func(p dist.Progress) {
-			j.publish(func(j *job) { j.cellsDone = p.MergedCells })
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "%s\n", dist.DoneMarker(tee.lines, tee.h.Sum(nil))); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(part, s.cache.EntryPath(j.key)); err != nil {
-		return err
-	}
-	s.cache.Seal(j.key, tee.lines, tee.n, tee.h.Sum(nil))
-	summary := ""
-	if rep.Result != nil {
-		var b strings.Builder
-		rep.Result.Print(&b)
-		summary = b.String()
-	}
-	reused := len(rep.Reused)
-	j.publish(func(j *job) {
-		j.state = stateDone
-		j.path = s.cache.EntryPath(j.key)
-		j.reusedShards = reused
-		j.summary = summary
-	})
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -453,7 +454,7 @@ func TestResumeFromPartCheckpoint(t *testing.T) {
 	}
 	part := bytes.Join(lines[:keep], nil)
 	part = append(part, lines[keep][:len(lines[keep])/2]...)
-	if err := os.WriteFile(cache.PartPath(key), part, 0o644); err != nil {
+	if err := os.WriteFile(sink.PartPath(cache.EntryPath(key)), part, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -504,9 +505,9 @@ func TestShutdownCheckpointsAndRestartResumes(t *testing.T) {
 	atomic.StoreInt64(&toyDelay, 0)
 
 	// The part checkpoint must hold a valid prefix of complete cells.
-	pre, ok := validatePart(s.cache.PartPath(sr.ID), false, toyN)
-	if !ok || pre.cells < 2 || pre.cells >= toyN {
-		t.Fatalf("part checkpoint after shutdown: %+v ok=%v", pre, ok)
+	pre := sink.ScanPart(s.cache.EntryPath(sr.ID), false, toyN)
+	if pre.Cells < 2 || pre.Cells >= toyN {
+		t.Fatalf("part checkpoint after shutdown: %+v", pre)
 	}
 
 	// A restarted server over the same cache dir resumes, not recomputes.
@@ -518,12 +519,12 @@ func TestShutdownCheckpointsAndRestartResumes(t *testing.T) {
 		t.Fatalf("post-restart stream differs:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	ran := atomic.LoadInt64(&toyCells) - before
-	if ran != int64(toyN-pre.cells) {
-		t.Fatalf("restart executed %d cells, want %d (resume from %d checkpointed)", ran, toyN-pre.cells, pre.cells)
+	if ran != int64(toyN-pre.Cells) {
+		t.Fatalf("restart executed %d cells, want %d (resume from %d checkpointed)", ran, toyN-pre.Cells, pre.Cells)
 	}
 	st := getStatus(t, ts2, sr2.ID)
-	if st.ResumedCells != pre.cells {
-		t.Fatalf("status resumed_cells=%d, want %d", st.ResumedCells, pre.cells)
+	if st.ResumedCells != pre.Cells {
+		t.Fatalf("status resumed_cells=%d, want %d", st.ResumedCells, pre.Cells)
 	}
 	// A resumed job replays its finished entry through the reduction:
 	// the summary must not depend on whether a restart happened.
@@ -703,8 +704,8 @@ func TestSubmitRejectsUnknownWork(t *testing.T) {
 func TestValidatePartPrefixes(t *testing.T) {
 	dir := t.TempDir()
 	write := func(content string) string {
-		path := dir + "/part.jsonl.part"
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		path := dir + "/part.jsonl"
+		if err := os.WriteFile(sink.PartPath(path), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -714,40 +715,52 @@ func TestValidatePartPrefixes(t *testing.T) {
 	}
 	// Single-record: every complete line is a complete cell.
 	p := write(line(0) + line(1) + line(2))
-	if pre, ok := validatePart(p, false, 10); !ok || pre.cells != 3 || pre.records != 3 {
-		t.Fatalf("single-record prefix: %+v ok=%v", pre, ok)
+	if pre := sink.ScanPart(p, false, 10); pre.Cells != 3 || pre.Records != 3 {
+		t.Fatalf("single-record prefix: %+v", pre)
 	}
 	// Torn tail: the half-written line is dropped.
 	p = write(line(0) + line(1) + `{"scenario":"t","ser`)
-	if pre, ok := validatePart(p, false, 10); !ok || pre.cells != 2 {
-		t.Fatalf("torn tail: %+v ok=%v", pre, ok)
+	if pre := sink.ScanPart(p, false, 10); pre.Cells != 2 {
+		t.Fatalf("torn tail: %+v", pre)
 	}
 	// A final line that parses but lost its newline is still a torn
 	// write: counting it would make the kept byte range overrun the
 	// file and corrupt the resumed stream.
 	full := line(0) + line(1) + line(2)
 	p = write(full[:len(full)-1])
-	if pre, ok := validatePart(p, false, 10); !ok || pre.cells != 2 || pre.bytes != int64(len(line(0)+line(1))) {
-		t.Fatalf("newline-less tail: %+v ok=%v", pre, ok)
+	if pre := sink.ScanPart(p, false, 10); pre.Cells != 2 || pre.Bytes != int64(len(line(0)+line(1))) {
+		t.Fatalf("newline-less tail: %+v", pre)
 	}
 	// Multi-record: the final cell is dropped (completeness unknowable).
 	p = write(line(0) + line(0) + line(1) + line(1))
-	if pre, ok := validatePart(p, true, 10); !ok || pre.cells != 1 || pre.records != 2 {
-		t.Fatalf("multi-record prefix: %+v ok=%v", pre, ok)
+	if pre := sink.ScanPart(p, true, 10); pre.Cells != 1 || pre.Records != 2 {
+		t.Fatalf("multi-record prefix: %+v", pre)
 	}
 	// A gap invalidates everything after it.
 	p = write(line(0) + line(3))
-	if pre, ok := validatePart(p, false, 10); !ok || pre.cells != 1 {
-		t.Fatalf("gapped part: %+v ok=%v", pre, ok)
+	if pre := sink.ScanPart(p, false, 10); pre.Cells != 1 {
+		t.Fatalf("gapped part: %+v", pre)
 	}
 	// Does not start at cell 0: nothing to keep.
 	p = write(line(2))
-	if _, ok := validatePart(p, false, 10); ok {
+	if pre := sink.ScanPart(p, false, 10); pre != (sink.Prefix{}) {
 		t.Fatal("prefix not starting at cell 0 accepted")
+	}
+	// A multi-record stream cannot open with a cell below 0 either.
+	p = write(line(-1) + line(0) + line(1))
+	if pre := sink.ScanPart(p, true, 10); pre != (sink.Prefix{}) {
+		t.Fatalf("prefix opening at cell -1 kept: %+v", pre)
+	}
+	// Parts never hold markers, blanks or CRs: each ends the prefix.
+	for _, damage := range []string{"#done\n", "\n", strings.TrimSuffix(line(2), "\n") + "\r\n"} {
+		p = write(line(0) + line(1) + damage + line(2))
+		if pre := sink.ScanPart(p, false, 10); pre.Cells != 2 || pre.Bytes != int64(len(line(0)+line(1))) {
+			t.Fatalf("part damaged by %q: %+v", damage, pre)
+		}
 	}
 	// More cells than the enumeration: stale, discard.
 	p = write(line(0) + line(1) + line(2))
-	if _, ok := validatePart(p, false, 2); ok {
+	if pre := sink.ScanPart(p, false, 2); pre != (sink.Prefix{}) {
 		t.Fatal("oversized part accepted")
 	}
 }
@@ -790,7 +803,7 @@ func TestShutdownStopsComputation(t *testing.T) {
 	atomic.StoreInt64(&toyDelay, 20)
 	defer atomic.StoreInt64(&toyDelay, 0)
 	var log bytes.Buffer
-	s, err := New(Options{CacheDir: dir, Log: &log})
+	s, err := New(Options{CacheDir: dir, Logger: slog.New(slog.NewTextHandler(&log, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -889,7 +902,7 @@ func writeValidEntry(t *testing.T, c *Cache, key, line string) {
 	h := sha256.New()
 	h.Write([]byte(line))
 	h.Write([]byte{'\n'})
-	content := line + "\n" + dist.DoneMarker(1, h.Sum(nil)) + "\n"
+	content := line + "\n" + sink.DoneMarker(1, h.Sum(nil)) + "\n"
 	if err := os.WriteFile(c.EntryPath(key), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -914,7 +927,7 @@ func TestCacheIndexFastPathAndSelfValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("index.json not persisted: %v", err)
 	}
-	wantN, wantB, wantSum, wantOK := dist.ValidateRecordsFileSum(c.EntryPath(key))
+	wantN, wantB, wantSum, wantOK := sink.ValidateLog(c.EntryPath(key))
 	if !wantOK {
 		t.Fatal("planted entry does not validate")
 	}
@@ -1016,7 +1029,7 @@ func TestBroadcastRepeatSubmitIsPureCacheHit(t *testing.T) {
 }
 
 // TestRecordsSubscriberInRenameWindow pins the hand-over from part file
-// to cache entry: runLocal/runDist rename the part before they publish
+// to cache entry: run seals the log (renaming the part) before it publishes
 // the entry's path, so a subscriber whose first look at a running job
 // falls in between finds no file under the published path. It must wait
 // for the next publish and stream the entry, not end a complete job's

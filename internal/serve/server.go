@@ -80,12 +80,8 @@ type Options struct {
 	// key is live in the job table. 0 disables the quota.
 	CacheMaxBytes int64
 	// Logger receives structured server events (job lifecycle, sweeps,
-	// evictions), with job/state/cell fields. Nil derives an info-level
-	// text logger from Log — or a discard logger when Log is nil too.
+	// evictions), with job/state/cell fields. Nil discards.
 	Logger *slog.Logger
-	// Log is the legacy progress writer; it only matters when Logger is
-	// nil (see above). Nil discards.
-	Log io.Writer
 }
 
 // Server is the experiment service. Create with New, mount Handler on
@@ -119,7 +115,7 @@ func New(o Options) (*Server, error) {
 		o.MaxJobs = 2
 	}
 	if o.Logger == nil {
-		o.Logger = obs.TextLogger(o.Log)
+		o.Logger = obs.Discard()
 	}
 	cache, err := NewCache(o.CacheDir)
 	if err != nil {
@@ -350,12 +346,7 @@ func (s *Server) execute(j *job) {
 		"scale", j.req.Scale, "shards", j.req.Shards, "cells", j.cells)
 	runSpan := j.span.Child("run")
 	ctx := span.NewContext(s.ctx, runSpan)
-	var err error
-	if j.req.Shards > 1 {
-		err = s.runDist(ctx, j)
-	} else {
-		err = s.runLocal(ctx, j)
-	}
+	err := s.run(ctx, j)
 	runSpan.End()
 	defer j.span.End()
 	if err != nil {

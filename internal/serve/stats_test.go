@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -129,7 +130,7 @@ func TestStatsEndpointSchema(t *testing.T) {
 func TestEvictionEmitsEventAndCounter(t *testing.T) {
 	dir := t.TempDir()
 	var log strings.Builder
-	s, ts := newTestServer(t, dir, Options{Log: &log, CacheMaxBytes: 1})
+	s, ts := newTestServer(t, dir, Options{Logger: slog.New(slog.NewTextHandler(&log, nil)), CacheMaxBytes: 1})
 
 	before := counterValue("meshopt_cache_evictions_total")
 	first := postJob(t, ts, `{"experiment":"servetoy","seed":63}`)

@@ -31,11 +31,33 @@ if grep -l '"container/heap"' internal/sim/*.go; then
     exit 1
 fi
 
+echo "== record-log structure gate (one writer, one validator, one line predicate: internal/scenario/sink)"
+# Outside the sink package and tests, no Go line may spell the completion
+# marker, test a line's first byte for '#' (sink.IsRecord is the one
+# predicate — dist.attempt's worker-protocol control-line switch goes
+# through it too, so there is no exempt site), name a .part file or
+# rename one into place. Two files use tmp+rename without being record
+# logs and are named here: dist.Run's markerless merged.jsonl and the
+# cache's index.json.
+STRAY="$(grep -rnE --include='*.go' '"#done |\[0\] *[!=]= *'"'#'"'|\.part"|os\.Rename\(' internal cmd |
+    grep -v '_test\.go:' | grep -v '^internal/scenario/sink/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^internal/dist/coord\.go:[0-9]+:.*(mergedPart :=|os\.Rename\(mergedPart, )' |
+    grep -vE '^internal/serve/cache\.go:[0-9]+:.*os\.Rename\(tmp, c\.indexPath\(\)\)' || true)"
+if [ -n "$STRAY" ]; then
+    echo "record-log format handled outside internal/scenario/sink:" >&2
+    echo "$STRAY" >&2
+    exit 1
+fi
+
 echo "== go test -race (parallel experiment engine + shard coordinator + serve layer + trace + obs)"
 go test -race ./internal/experiments/... ./internal/dist/... ./internal/serve ./internal/trace ./internal/obs/...
 
 echo "== go test -race -count=10 (serve warm-submit attach path against the TTL janitor)"
 go test -race -count=10 -run 'WarmSubmit|AttachVsJanitor' ./internal/serve
+
+echo "== fuzz (5s each: a sealed log on disk, a completion marker line)"
+go test ./internal/scenario/sink -run '^$' -fuzz '^FuzzValidateLog$' -fuzztime=5s
+go test ./internal/scenario/sink -run '^$' -fuzz '^FuzzParseDoneMarker$' -fuzztime=5s
 
 echo "== scenario schema gate (round-trip parse/marshal goldens)"
 go test ./internal/scenario -run 'TestGolden|TestBuiltinsMarshalParse' -count=1
@@ -62,10 +84,10 @@ test -s "$SHARD_TMP/mem.pprof"
 cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/prof.jsonl"
 
 echo "== coord smoke (fig10, 3 local workers: mid-run worker kill, bounded retries, resume)"
-# Phase 1: the MESHOPT_WORK_FAIL hook kills shard 1's worker after 2
-# records on every attempt, so the coordinator must exhaust its retries
-# and fail — while still checkpointing the healthy shards 0 and 2.
-if MESHOPT_WORK_FAIL=1@2 "$SHARD_TMP/meshopt" coord 10 -scale quick -seed 4 -shards 3 -workers 3 \
+# Phase 1: the fault schedule kills shard 1's worker after 2 records on
+# every attempt, so the coordinator must exhaust its retries and fail —
+# while still checkpointing the healthy shards 0 and 2.
+if MESHOPT_FAULT='1/kill@2' "$SHARD_TMP/meshopt" coord 10 -scale quick -seed 4 -shards 3 -workers 3 \
     -retries 2 -dir "$SHARD_TMP/run" >/dev/null 2>&1; then
     echo "coord should have failed while shard 1's worker was being killed" >&2
     exit 1
@@ -170,12 +192,14 @@ echo "== observability smoke (/metrics counters live, /v1/stats JSON, pprof reac
 grep -Eq '^meshopt_cache_hits_total [1-9]' "$SHARD_TMP/metrics.txt"
 grep -Eq '^meshopt_serve_jobs_done_total [1-9]' "$SHARD_TMP/metrics.txt"
 grep -q '^# TYPE meshopt_runner_cell_seconds histogram' "$SHARD_TMP/metrics.txt"
-"$SHARD_TMP/meshopt" stats -addr "$ADDR" | grep -q '"jobs"'
+"$SHARD_TMP/meshopt" stats -addr "$ADDR" >"$SHARD_TMP/stats.json" # not piped: grep -q closing early is a SIGPIPE under pipefail
+grep -q '"jobs"' "$SHARD_TMP/stats.json"
 "$SHARD_TMP/meshopt" stats -addr "$ADDR" -watch 100ms -samples 2 >"$SHARD_TMP/watch.txt"
 test "$(wc -l <"$SHARD_TMP/watch.txt")" -eq 2
 grep -q 'jobs queued=' "$SHARD_TMP/watch.txt"
 grep -q 'Δdone' "$SHARD_TMP/watch.txt"
-"$SHARD_TMP/meshopt" stats -addr "$ADDR" -path /debug/pprof/ | grep -qi 'pprof'
+"$SHARD_TMP/meshopt" stats -addr "$ADDR" -path /debug/pprof/ >"$SHARD_TMP/pprof.html"
+grep -qi 'pprof' "$SHARD_TMP/pprof.html"
 grep -q '^# TYPE meshopt_build_info gauge' "$SHARD_TMP/metrics.txt"
 grep -Eq '^meshopt_queue_wait_seconds_count [1-9]' "$SHARD_TMP/metrics.txt"
 kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null
