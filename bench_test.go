@@ -1,7 +1,7 @@
 // Package repro's root benchmarks regenerate every evaluation figure of
-// the paper at Quick scale, one bench per figure (Figs. 7/8/12 share the
-// network-validation run but are benched separately over its analyses),
-// plus ablation benches for the design choices called out in DESIGN.md.
+// the paper at Quick scale, one bench per figure (Figs. 7/8/12 share one
+// network-validation run and one bench), plus ablation benches for the
+// design choices called out in DESIGN.md.
 //
 // Run: go test -bench=. -benchmem
 package repro
@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -24,11 +25,9 @@ import (
 	"repro/internal/core/optimize"
 	"repro/internal/experiments"
 	"repro/internal/experiments/exp"
-	"repro/internal/mac"
 	"repro/internal/measure"
 	"repro/internal/node"
 	"repro/internal/phy"
-	"repro/internal/probe"
 	"repro/internal/scenario/sink"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -40,7 +39,7 @@ import (
 // benchScale trims Quick so each figure bench iteration stays in the
 // hundreds of milliseconds; `meshopt -scale paper` runs the full size.
 func benchScale() experiments.Scale {
-	sc := experiments.Quick()
+	sc := exp.Quick()
 	sc.PhaseDur = 1 * sim.Second
 	sc.Pairs = 4
 	sc.Configs = 1
@@ -51,11 +50,26 @@ func benchScale() experiments.Scale {
 	return sc
 }
 
+// runFig runs a registered figure suite through the experiment engine
+// and returns its typed result.
+func runFig[R any](b *testing.B, name string, seed int64, sc experiments.Scale) R {
+	b.Helper()
+	e, ok := exp.Find(name)
+	if !ok {
+		b.Fatalf("%s not registered", name)
+	}
+	res, err := exp.Run(e, seed, sc, exp.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.(R)
+}
+
 func BenchmarkFig03LIRCDF(b *testing.B) {
 	b.ReportAllocs()
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig3(int64(i+1), sc)
+		res := runFig[experiments.Fig3Result](b, "fig3", int64(i+1), sc)
 		res.Print(io.Discard)
 	}
 }
@@ -64,7 +78,7 @@ func BenchmarkFig04FPFN(b *testing.B) {
 	b.ReportAllocs()
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig4(int64(i+1), sc)
+		res := runFig[experiments.Fig4Result](b, "fig4", int64(i+1), sc)
 		res.Print(io.Discard)
 	}
 }
@@ -73,7 +87,7 @@ func BenchmarkFig05ThreePoint(b *testing.B) {
 	b.ReportAllocs()
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig5(3, sc)
+		res := runFig[experiments.Fig5Result](b, "fig5", 3, sc)
 		res.Print(io.Discard)
 	}
 }
@@ -82,48 +96,21 @@ func BenchmarkFig06LIRThreshold(b *testing.B) {
 	lirs := []float64{0.2, 0.35, 0.5, 0.55, 0.62, 0.8, 0.9, 0.93, 0.96, 0.975, 0.99, 1.0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig6(lirs)
+		res := experiments.LIRThresholdSweep(lirs)
 		res.Print(io.Discard)
 	}
 }
 
-// netValidation is shared by the Fig. 7/8/12 benches; computed once.
-var netValidationCache *experiments.NetValidationResult
-
-func netValidation(b *testing.B) experiments.NetValidationResult {
-	b.Helper()
-	if netValidationCache == nil {
-		res := experiments.RunNetValidation(11, benchScale())
-		netValidationCache = &res
-	}
-	return *netValidationCache
-}
-
-func BenchmarkFig07OverEstimation(b *testing.B) {
+// BenchmarkNetValidation runs the shared Figs. 7/8/12 network
+// validation suite: routing, offline measurement and optimization per
+// cell, then the three figures' analyses.
+func BenchmarkNetValidation(b *testing.B) {
 	b.ReportAllocs()
-	res := netValidation(b)
-	b.ResetTimer()
+	defer reportEvents(b)()
+	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		res.Fig7Stats()
-	}
-}
-
-func BenchmarkFig08UnderEstimation(b *testing.B) {
-	b.ReportAllocs()
-	res := netValidation(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res.Fig8UnderEstimation()
-		res.Fig8ScaledGain()
-	}
-}
-
-func BenchmarkFig12TwoHop(b *testing.B) {
-	b.ReportAllocs()
-	res := netValidation(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res.Fig12Compare()
+		res := runFig[experiments.NetValidationResult](b, "netvalid", 11, sc)
+		res.Print(io.Discard)
 	}
 }
 
@@ -132,7 +119,7 @@ func BenchmarkFig09EstimatorCases(b *testing.B) {
 	sc := benchScale()
 	sc.ProbeWindow = 300
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig9(2, sc)
+		res := runFig[experiments.Fig9Result](b, "fig9", 2, sc)
 		res.Print(io.Discard)
 	}
 }
@@ -143,7 +130,7 @@ func BenchmarkFig10LossRMSE(b *testing.B) {
 	sc := benchScale()
 	sc.ProbeWindow = 250
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig10(4, sc)
+		res := runFig[experiments.Fig10Result](b, "fig10", 4, sc)
 		res.Print(io.Discard)
 	}
 }
@@ -180,7 +167,7 @@ func BenchmarkFig11CapacityVsAdhoc(b *testing.B) {
 	b.ReportAllocs()
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig11(6, sc)
+		res := runFig[experiments.Fig11Result](b, "fig11", 6, sc)
 		res.Print(io.Discard)
 	}
 }
@@ -190,7 +177,7 @@ func BenchmarkFig13Starvation(b *testing.B) {
 	sc := benchScale()
 	sc.TrafficDur = 8 * sim.Second
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig13(3, sc)
+		res := runFig[experiments.Fig13Result](b, "fig13", 3, sc)
 		res.Print(io.Discard)
 	}
 }
@@ -200,7 +187,7 @@ func BenchmarkFig14TCPSuite(b *testing.B) {
 	defer reportEvents(b)()
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig14(9, sc)
+		res := runFig[experiments.Fig14Result](b, "fig14", 9, sc)
 		res.Print(io.Discard)
 	}
 }
@@ -354,17 +341,26 @@ func BenchmarkAblationFrankWolfe(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			refU := optimize.Utility(ref, optimize.ProportionalFair)
+			refU := logUtility(ref)
 			for i := 0; i < b.N; i++ {
 				y, err := optimize.Solve(prob, optimize.ProportionalFair, optimize.Options{Iterations: iters})
 				if err != nil {
 					b.Fatal(err)
 				}
-				gap = refU - optimize.Utility(y, optimize.ProportionalFair)
+				gap = refU - logUtility(y)
 			}
 			b.ReportMetric(gap, "utility-gap")
 		})
 	}
+}
+
+// logUtility is the proportional-fair objective: the sum of log rates.
+func logUtility(y []float64) float64 {
+	u := 0.0
+	for _, v := range y {
+		u += math.Log(v)
+	}
+	return u
 }
 
 // BenchmarkAblationCapture compares IA-pair simultaneous throughput with
@@ -376,12 +372,9 @@ func BenchmarkAblationCapture(b *testing.B) {
 		s := sim.New(5)
 		med := phy.NewMedium(s, cfg)
 		// IA geometry, as in topology.TwoLink.
-		for _, p := range []phy.Position{{X: 0}, {X: 90}, {X: 240}, {X: 320}} {
-			med.AddRadio(p)
-		}
 		nw := &topology.Network{Sim: s, Medium: med}
-		for _, r := range med.Radios() {
-			nw.Nodes = append(nw.Nodes, node.New(med, r, phy.Rate1))
+		for _, p := range []phy.Position{{X: 0}, {X: 90}, {X: 240}, {X: 320}} {
+			nw.Nodes = append(nw.Nodes, node.New(med, med.AddRadio(p), phy.Rate1))
 		}
 		l1, l2 := topology.Link{Src: 0, Dst: 1}, topology.Link{Src: 2, Dst: 3}
 		nw.InstallDirectRoute(l1)
@@ -411,109 +404,12 @@ func BenchmarkAblationProbeWindow(b *testing.B) {
 			sc.ProbeWindow = window
 			var rmse float64
 			for i := 0; i < b.N; i++ {
-				res := experiments.RunFig10(4, sc)
+				res := runFig[experiments.Fig10Result](b, "fig10", 4, sc)
 				rmse = res.RMSEByS[window]
 			}
 			b.ReportMetric(rmse, "rmse")
 		})
 	}
-}
-
-// BenchmarkAblationRateAdaptation quantifies the paper's §7 caveat: with
-// 802.11 rate adaptation enabled, fixed-rate probing no longer matches the
-// data plane, and the Eq. 6 capacity estimate degrades. Reported metric:
-// relative error of the Eq. 6 estimate vs the measured ARF throughput on a
-// marginal link.
-func BenchmarkAblationRateAdaptation(b *testing.B) {
-	var relErr float64
-	for i := 0; i < b.N; i++ {
-		s := sim.New(31)
-		med := phy.NewMedium(s, phy.DefaultConfig())
-		ra := med.AddRadio(phy.Position{})
-		rb := med.AddRadio(phy.Position{X: 129}) // sustains 5.5, not 11
-		na := node.New(med, ra, phy.Rate11)
-		nb := node.New(med, rb, phy.Rate11)
-		_ = nb
-		na.SetRoute(1, 1)
-		arf := mac.NewARF(phy.Rate11)
-		na.MAC().SetRateAdapter(arf)
-
-		nw := &topology.Network{Sim: s, Medium: med, Nodes: []*node.Node{na, nb}}
-		got := measure.MaxUDP(nw, topology.Link{Src: 0, Dst: 1}, traffic.DefaultPayload, 3*sim.Second)
-
-		// The estimator probes at the *configured* 11 Mb/s and feeds
-		// Eq. 6 with that rate — blind to the adapted data rate.
-		rec := probe.NewRecorder(nb)
-		pr := probe.NewProber(s, na, phy.Rate11, traffic.DefaultPayload)
-		pr.SetPeriod(60 * sim.Millisecond)
-		pr.Start()
-		s.Run(s.Now() + 10*sim.Second)
-		pr.Stop()
-		est, ok := rec.Estimate(0, 150)
-		if !ok {
-			b.Fatal("no probe estimate")
-		}
-		pred := capacity.MaxUDP(est.Pl, phy.Rate11, traffic.DefaultPayload)
-		relErr = (pred - got.ThroughputBps) / got.ThroughputBps
-	}
-	b.ReportMetric(relErr, "rel-err")
-}
-
-// BenchmarkAblationFormulation compares the three solver formulations on
-// an odd-cycle conflict structure, where the MIS polytope is exact and
-// clique constraints are an optimistic outer bound.
-func BenchmarkAblationFormulation(b *testing.B) {
-	g := conflict.NewGraph(5)
-	for i := 0; i < 5; i++ {
-		g.AddEdge(i, (i+1)%5)
-	}
-	caps := []float64{1e6, 1e6, 1e6, 1e6, 1e6}
-	routes := [][]int{{0}, {1}, {2}, {3}, {4}}
-	region := feasibility.Build(caps, g)
-	cp := optimize.NewCliqueProblem(caps, g, routes)
-
-	sum := func(v []float64) float64 {
-		t := 0.0
-		for _, x := range v {
-			t += x
-		}
-		return t
-	}
-	b.Run("polytope", func(b *testing.B) {
-		var agg float64
-		for i := 0; i < b.N; i++ {
-			y, err := optimize.Solve(&optimize.Problem{Region: region, Routes: routes},
-				optimize.ProportionalFair, optimize.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg = sum(y)
-		}
-		b.ReportMetric(agg/1e6, "agg-Mbps")
-	})
-	b.Run("clique", func(b *testing.B) {
-		var agg float64
-		for i := 0; i < b.N; i++ {
-			y, err := optimize.SolveClique(cp, optimize.ProportionalFair, optimize.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg = sum(y)
-		}
-		b.ReportMetric(agg/1e6, "agg-Mbps")
-	})
-	b.Run("distributed", func(b *testing.B) {
-		var agg float64
-		for i := 0; i < b.N; i++ {
-			y, err := optimize.SolveDistributed(cp, optimize.ProportionalFair,
-				optimize.DistributedOptions{Iterations: 3000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg = sum(y)
-		}
-		b.ReportMetric(agg/1e6, "agg-Mbps")
-	})
 }
 
 // BenchmarkAblationExhaustiveRegion compares the O(2^L) measured-
@@ -523,7 +419,7 @@ func BenchmarkAblationExhaustiveRegion(b *testing.B) {
 	sc := benchScale()
 	var agree float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunExhaustive(5, sc)
+		res := runFig[experiments.ExhaustiveResult](b, "exhaustive", 5, sc)
 		agree = res.MISAgreement
 		res.Print(io.Discard)
 	}

@@ -85,6 +85,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/fault"
 	"repro/internal/experiments"
 	"repro/internal/experiments/exp"
 	"repro/internal/experiments/runner"
@@ -440,13 +441,18 @@ func runWork(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	sched, err := fault.FromEnv()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "meshopt work:", err)
+		return 1
+	}
 	stopSidecar, err := startSidecar(*metricsAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer stopSidecar()
-	if err := dist.ServeWorkLogged(os.Stdin, os.Stdout, logger); err != nil {
+	if err := dist.ServeWork(os.Stdin, os.Stdout, sched, nil, logger); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}

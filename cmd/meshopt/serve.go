@@ -80,7 +80,7 @@ func runServe(args []string) int {
 	fmt.Printf("meshopt serve: listening on http://%s (cache %s)\n", ln.Addr(), *cacheDir)
 	os.Stdout.Sync()
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	sig := make(chan os.Signal, 1)
@@ -101,6 +101,26 @@ func runServe(args []string) int {
 		hs.Shutdown(hctx)
 		hs.Close()
 		return 0
+	}
+}
+
+// Slow clients may not hold a connection open indefinitely: a request's
+// headers must arrive within serveReadHeaderTimeout and an idle
+// keep-alive connection is closed after serveIdleTimeout. There is no
+// write timeout, because GET .../records streams a running job's records
+// for as long as the job runs.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the serve handler in the server `meshopt serve`
+// listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
 	}
 }
 

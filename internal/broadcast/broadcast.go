@@ -139,18 +139,12 @@ type Channel interface {
 }
 
 // Run executes one dissemination from root under policy and the given
-// adversarial flags (nil means no adversaries). The run is a pure
-// function of its arguments; see the package comment for why.
-func Run(net *Net, root int, policy Relay, flags *Flags, seed int64) Metrics {
-	return RunTraced(net, root, policy, flags, seed, nil, nil)
-}
-
-// RunTraced is Run with optional capture and replay: every per-hop
-// channel decision is reported to tap (when non-nil) as a
-// phy.Decision, and decided by channel (when non-nil) instead of the
-// relay loop's own coin. Passing nil for both is exactly Run; the rng
-// draw sequence is identical in all cases.
-func RunTraced(net *Net, root int, policy Relay, flags *Flags, seed int64, tap phy.Tracer, channel Channel) Metrics {
+// adversarial flags (nil means no adversaries). Every per-hop channel
+// decision is reported to tap (when non-nil) as a phy.Decision, and
+// decided by channel (when non-nil) instead of the relay loop's own
+// coin; the rng draw sequence is identical in all cases. The run is a
+// pure function of its arguments; see the package comment for why.
+func Run(net *Net, root int, policy Relay, flags *Flags, seed int64, tap phy.Tracer, channel Channel) Metrics {
 	s := sim.New(seed)
 	rng := s.Rand()
 	recv := make([]bool, net.N)

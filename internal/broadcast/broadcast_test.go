@@ -59,7 +59,7 @@ func starNet(n int) *Net {
 }
 
 func TestFloodCoversLosslessLine(t *testing.T) {
-	m := Run(lineNet(5), 0, Flood{}, nil, 1)
+	m := Run(lineNet(5), 0, Flood{}, nil, 1, nil, nil)
 	if m.Reached != 5 || m.Coverage != 1 {
 		t.Fatalf("flood on a lossless line should reach all 5 nodes, got %+v", m)
 	}
@@ -77,7 +77,7 @@ func TestFloodCoversLosslessLine(t *testing.T) {
 }
 
 func TestTreeFollowsGainForest(t *testing.T) {
-	m := Run(lineNet(5), 0, Tree{}, nil, 1)
+	m := Run(lineNet(5), 0, Tree{}, nil, 1, nil, nil)
 	if m.Reached != 5 {
 		t.Fatalf("tree rooted at the forest root should reach all nodes, got %+v", m)
 	}
@@ -86,21 +86,21 @@ func TestTreeFollowsGainForest(t *testing.T) {
 	}
 	// From mid-chain, the root seed-floods both directions but forest
 	// edges only point downstream: upstream stops after one hop.
-	m = Run(lineNet(5), 2, Tree{}, nil, 1)
+	m = Run(lineNet(5), 2, Tree{}, nil, 1, nil, nil)
 	if m.Reached != 4 {
 		t.Fatalf("tree from node 2 should reach {1,2,3,4}, got %+v", m)
 	}
 }
 
 func TestKRandomBoundsFanOut(t *testing.T) {
-	m := Run(starNet(6), 0, KRandom{K: 2}, nil, 1)
+	m := Run(starNet(6), 0, KRandom{K: 2}, nil, 1, nil, nil)
 	if m.Reached != 3 {
 		t.Fatalf("krandom(2) from the hub should reach the hub plus 2 leaves, got %+v", m)
 	}
 }
 
 func TestGossipZeroOneBehaviour(t *testing.T) {
-	if m := Run(lineNet(5), 0, Gossip{P: 1}, nil, 1); m.Reached != 5 {
+	if m := Run(lineNet(5), 0, Gossip{P: 1}, nil, 1, nil, nil); m.Reached != 5 {
 		t.Fatalf("gossip(1) should behave like flood, got %+v", m)
 	}
 }
@@ -112,7 +112,7 @@ func TestMaliciousNodeReceivesButDrops(t *testing.T) {
 		AbsentUntil: make([]sim.Time, 5),
 	}
 	flags.Malicious[2] = true
-	m := Run(lineNet(5), 0, Flood{}, flags, 1)
+	m := Run(lineNet(5), 0, Flood{}, flags, 1, nil, nil)
 	if m.Reached != 3 {
 		t.Fatalf("a malicious node 2 should cut the line at {0,1,2}, got %+v", m)
 	}
@@ -125,7 +125,7 @@ func TestAbsentNodeMissesFrames(t *testing.T) {
 		AbsentUntil: make([]sim.Time, 5),
 	}
 	flags.AbsentUntil[1] = 10 * sim.Second // absent for the whole run
-	m := Run(lineNet(5), 0, Flood{}, flags, 1)
+	m := Run(lineNet(5), 0, Flood{}, flags, 1, nil, nil)
 	if m.Reached != 1 {
 		t.Fatalf("an absent node 1 should isolate the root, got %+v", m)
 	}
@@ -135,7 +135,7 @@ func TestAbsentNodeMissesFrames(t *testing.T) {
 		AbsentFrom:  make([]sim.Time, 5),
 		AbsentUntil: make([]sim.Time, 5),
 	}
-	if m := Run(lineNet(5), 0, Flood{}, flags, 1); m.Reached != 5 {
+	if m := Run(lineNet(5), 0, Flood{}, flags, 1, nil, nil); m.Reached != 5 {
 		t.Fatalf("root flags must be ignored, got %+v", m)
 	}
 }
@@ -143,8 +143,8 @@ func TestAbsentNodeMissesFrames(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	net := randomNet(7, 24)
 	flags := DeriveFlags(42, net.N, AdversaryConfig{MaliciousFraction: 0.1, ChurnFraction: 0.1})
-	a := Run(net, 3, Gossip{P: 0.7}, flags, 42)
-	b := Run(net, 3, Gossip{P: 0.7}, flags, 42)
+	a := Run(net, 3, Gossip{P: 0.7}, flags, 42, nil, nil)
+	b := Run(net, 3, Gossip{P: 0.7}, flags, 42, nil, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same inputs, different metrics:\n%+v\n%+v", a, b)
 	}

@@ -117,7 +117,7 @@ func (w *Workload) RunCellRecords(c exp.Cell) []sink.Record {
 			ch = r
 		}
 	}
-	m := RunTraced(net, bc.root, pol, flags, cs, tap, ch)
+	m := Run(net, bc.root, pol, flags, cs, tap, ch)
 	recs := []sink.Record{{
 		Series: "run",
 		Fields: []sink.Field{

@@ -6,7 +6,6 @@
 package conflict
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/topology"
@@ -44,18 +43,6 @@ func (g *Graph) AddEdge(i, j int) {
 // Interferes reports whether links i and j conflict.
 func (g *Graph) Interferes(i, j int) bool { return g.adj[i].has(j) }
 
-// Degree returns the number of links conflicting with i.
-func (g *Graph) Degree(i int) int { return g.adj[i].count() }
-
-// Edges returns the number of undirected conflict edges.
-func (g *Graph) Edges() int {
-	total := 0
-	for i := range g.adj {
-		total += g.adj[i].count()
-	}
-	return total / 2
-}
-
 // Complement returns the graph whose edges are the non-conflicting pairs;
 // cliques of the complement are independent sets of g, which is how the
 // paper applies the Makino–Uno clique enumerator.
@@ -63,7 +50,7 @@ func (g *Graph) Complement() *Graph {
 	c := NewGraph(g.n)
 	for i := 0; i < g.n; i++ {
 		for j := i + 1; j < g.n; j++ {
-			if !g.adj[i].has(j) {
+			if !g.Interferes(i, j) {
 				c.AddEdge(i, j)
 			}
 		}
@@ -241,5 +228,3 @@ func (b bitset) elements() []int {
 	}
 	return out
 }
-
-func (b bitset) String() string { return fmt.Sprint(b.elements()) }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core/conflict"
 	"repro/internal/core/feasibility"
 	"repro/internal/core/optimize"
-	"repro/internal/node"
 	"repro/internal/phy"
 	"repro/internal/probe"
 	"repro/internal/rate"
@@ -106,10 +105,6 @@ func New(nw *topology.Network, flows []Flow, cfg Config) *Controller {
 	}
 	return c
 }
-
-// SetObjective retunes the utility objective for subsequent Compute
-// calls; the probing state is reused (the model is objective-independent).
-func (c *Controller) SetObjective(o optimize.Objective) { c.cfg.Objective = o }
 
 // Probe runs the measurement phase for dur of simulated time.
 func (c *Controller) Probe(dur sim.Time) {
@@ -309,6 +304,3 @@ func (c *Controller) ApplyTCP(plan *Plan) ([]*transport.Flow, []*rate.Shaper) {
 	}
 	return flows, shapers
 }
-
-// Nodes exposes the mesh nodes (for experiment wiring).
-func (c *Controller) Nodes() []*node.Node { return c.nw.Nodes }

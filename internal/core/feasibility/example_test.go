@@ -24,17 +24,6 @@ func ExampleBuild() {
 	// above time sharing feasible: false
 }
 
-// ExampleRegion_Scale finds how far a rate vector can grow before leaving
-// the region — the §4.5 under-estimation probe.
-func ExampleRegion_Scale() {
-	g := conflict.NewGraph(2)
-	g.AddEdge(0, 1)
-	region := feasibility.Build([]float64{1, 1}, g)
-	fmt.Printf("scale to boundary: %.1f\n", region.Scale([]float64{0.25, 0.25}))
-	// Output:
-	// scale to boundary: 2.0
-}
-
 // ExampleLIRAreaErrors reproduces one point of the Fig. 6 analysis: the
 // FN area error of classifying an LIR-0.8 pair as interfering.
 func ExampleLIRAreaErrors() {

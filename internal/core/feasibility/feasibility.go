@@ -23,10 +23,10 @@ import (
 // with y <= sum_k alpha_k * Points[k] for a convex combination alpha is
 // deemed feasible (Eqs. 1-3, downward closed).
 //
-// Membership and boundary queries are answered by small LPs whose
-// constraint matrix depends only on the extreme points, not on the query
-// vector, so the region lazily builds each LP once and re-aims it per
-// query (grid samplers issue thousands of queries against one region).
+// Membership queries are answered by a small LP whose constraint
+// matrix depends only on the extreme points, not on the query vector,
+// so the region lazily builds the LP once and re-aims it per query
+// (grid samplers issue thousands of queries against one region).
 // Points and Capacities must not be mutated after the first query. The
 // query cache is mutex-guarded, so a frozen region may be shared by
 // concurrent experiment cells.
@@ -38,7 +38,6 @@ type Region struct {
 
 	mu         sync.Mutex
 	containsLP *lp.Problem // K vars; rhs re-aimed per query
-	scaleLP    *lp.Problem // K+1 vars; y column re-aimed per query
 	ws         lp.Workspace
 }
 
@@ -100,59 +99,6 @@ func (r *Region) Contains(y []float64) bool {
 	}
 	_, _, err := r.containsLP.SolveWS(&r.ws)
 	return err == nil
-}
-
-// Scale returns the largest s such that s*y remains in the region (the
-// boundary distance along ray y). Returns +Inf for y = 0. The dimension
-// check matters doubly here: an oversized y would otherwise overwrite
-// the cached LP's convexity row and corrupt every later query.
-func (r *Region) Scale(y []float64) float64 {
-	allZero := true
-	for _, v := range y {
-		if v > 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		return math.Inf(1)
-	}
-	if len(y) != r.L() {
-		panic("feasibility: dimension mismatch")
-	}
-	// Variables: alpha (K) and s; maximize s subject to
-	// s*y_l - sum_j alpha_j c_jl <= 0, sum alpha = 1. Only the s column
-	// depends on y, so the cached problem just rewrites that column.
-	k := r.K()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.scaleLP == nil {
-		obj := make([]float64, k+1)
-		obj[k] = 1
-		p := lp.NewProblem(k+1, obj)
-		row := make([]float64, k+1)
-		for l := 0; l < r.L(); l++ {
-			for j := 0; j < k; j++ {
-				row[j] = -r.Points[j][l]
-			}
-			row[k] = 0
-			p.AddConstraint(row, lp.LE, 0)
-		}
-		for j := 0; j < k; j++ {
-			row[j] = 1
-		}
-		row[k] = 0
-		p.AddConstraint(row, lp.EQ, 1)
-		r.scaleLP = p
-	}
-	for l, v := range y {
-		r.scaleLP.SetCoef(l, k, v)
-	}
-	_, s, err := r.scaleLP.SolveWS(&r.ws)
-	if err != nil {
-		return 0
-	}
-	return s
 }
 
 // TwoLinkModel is the pairwise model of Fig. 1/Fig. 6: primary extreme

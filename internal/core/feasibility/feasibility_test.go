@@ -2,7 +2,6 @@ package feasibility
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -65,59 +64,6 @@ func TestContainsOrigin(t *testing.T) {
 	r := Build([]float64{1, 1}, g)
 	if !r.Contains([]float64{0, 0}) {
 		t.Fatal("origin must always be feasible (downward closure)")
-	}
-}
-
-func TestScaleOnBoundary(t *testing.T) {
-	g := conflict.NewGraph(2)
-	g.AddEdge(0, 1)
-	r := Build([]float64{1, 1}, g)
-	s := r.Scale([]float64{0.25, 0.25})
-	if math.Abs(s-2) > 1e-6 {
-		t.Fatalf("Scale = %v, want 2 (boundary at 0.5+0.5)", s)
-	}
-	if got := r.Scale([]float64{0, 0}); !math.IsInf(got, 1) {
-		t.Fatalf("Scale(origin) = %v, want +Inf", got)
-	}
-}
-
-func TestPropertyScaleTimesYOnBoundary(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		g := conflict.NewGraph(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.5 {
-					g.AddEdge(i, j)
-				}
-			}
-		}
-		caps := make([]float64, n)
-		for i := range caps {
-			caps[i] = 0.5 + rng.Float64()
-		}
-		r := Build(caps, g)
-		y := make([]float64, n)
-		for i := range y {
-			y[i] = rng.Float64() * caps[i] * 0.3
-		}
-		s := r.Scale(y)
-		if math.IsInf(s, 1) {
-			return true
-		}
-		scaled := make([]float64, n)
-		shrunk := make([]float64, n)
-		grown := make([]float64, n)
-		for i := range y {
-			scaled[i] = y[i] * s
-			shrunk[i] = y[i] * s * 0.99
-			grown[i] = y[i] * s * 1.01
-		}
-		return r.Contains(shrunk) && !r.Contains(grown)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

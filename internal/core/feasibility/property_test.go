@@ -27,23 +27,24 @@ func randRegion(seed int64) (*Region, *conflict.Graph, []float64) {
 	return Build(caps, g), g, caps
 }
 
-// Downward closure: shrinking any feasible point keeps it feasible.
+// Downward closure: shrinking a point of the region (a convex
+// combination of its extreme points) keeps it feasible.
 func TestPropertyRegionDownwardClosed(t *testing.T) {
 	f := func(seed int64, shrink uint8) bool {
 		r, _, caps := randRegion(seed)
 		rng := rand.New(rand.NewSource(seed + 1))
-		y := make([]float64, len(caps))
-		for i := range y {
-			y[i] = rng.Float64() * caps[i]
-		}
-		// Scale onto/inside the boundary first.
-		s := r.Scale(y)
-		if s <= 0 {
-			return true
+		alpha := make([]float64, r.K())
+		sum := 0.0
+		for j := range alpha {
+			alpha[j] = rng.Float64()
+			sum += alpha[j]
 		}
 		factor := 0.1 + 0.8*float64(shrink)/255
-		for i := range y {
-			y[i] *= s * factor
+		y := make([]float64, len(caps))
+		for j, p := range r.Points {
+			for i := range y {
+				y[i] += alpha[j] / sum * p[i] * factor * rng.Float64()
+			}
 		}
 		return r.Contains(y)
 	}
@@ -52,14 +53,26 @@ func TestPropertyRegionDownwardClosed(t *testing.T) {
 	}
 }
 
-// Every extreme point of the region is itself feasible, and every link's
-// full-capacity singleton is dominated by some extreme point.
+// Every extreme point of the region is itself feasible and lies on its
+// boundary, and every link's full-capacity singleton is dominated by
+// some extreme point.
 func TestPropertyExtremePointsFeasibleAndCoverLinks(t *testing.T) {
 	f := func(seed int64) bool {
 		r, _, caps := randRegion(seed)
 		for _, p := range r.Points {
 			if !r.Contains(p) {
 				return false
+			}
+			// No point of the region exceeds a link's capacity, so
+			// growing a used link of an extreme point leaves it.
+			for l := range p {
+				if p[l] > 0 {
+					grown := append([]float64(nil), p...)
+					grown[l] *= 1.01
+					if r.Contains(grown) {
+						return false
+					}
+				}
 			}
 		}
 		for l := range caps {

@@ -28,16 +28,3 @@ func ExampleSolve() {
 	// max-throughput: 2-hop 0.00, 1-hop 1.00
 	// prop-fair:      2-hop 0.25, 1-hop 0.50
 }
-
-// ExampleSolveDistributed shows the decentralized solver agreeing with
-// the centralized clique solution.
-func ExampleSolveDistributed() {
-	g := conflict.NewGraph(2)
-	g.AddEdge(0, 1)
-	cp := optimize.NewCliqueProblem([]float64{1, 1}, g, [][]int{{0}, {1}})
-	y, _ := optimize.SolveDistributed(cp, optimize.ProportionalFair,
-		optimize.DistributedOptions{Iterations: 6000, Step: 0.5})
-	fmt.Printf("%.2f %.2f\n", y[0], y[1])
-	// Output:
-	// 0.50 0.50
-}

@@ -282,34 +282,6 @@ func minPositive(v []float64) float64 {
 	return m
 }
 
-// Utility evaluates the alpha-fair objective at y (useful in tests and
-// ablations to compare solver variants).
-func Utility(y []float64, obj Objective) float64 {
-	total := 0.0
-	for _, v := range y {
-		switch {
-		case math.IsInf(obj.Alpha, 1):
-			// Max-min has no additive utility; return min.
-			return minSlice(y)
-		case obj.Alpha == 1:
-			total += math.Log(v)
-		default:
-			total += math.Pow(v, 1-obj.Alpha) / (1 - obj.Alpha)
-		}
-	}
-	return total
-}
-
-func minSlice(y []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range y {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // TCPAckScale is the §6.2 factor that reserves air time for TCP ACKs in
 // the reverse direction: (1 - (A+H)/(A+H+D)) with A and H the IP/TCP
 // header and TCP ACK sizes and D the TCP payload size.

@@ -179,19 +179,6 @@ func TestSolveRespectsFeasibility(t *testing.T) {
 	}
 }
 
-func TestUtilityEvaluation(t *testing.T) {
-	y := []float64{1, 2}
-	if got := Utility(y, MaxThroughput); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("alpha=0 utility = %v", got)
-	}
-	if got := Utility(y, ProportionalFair); math.Abs(got-math.Log(2)) > 1e-9 {
-		t.Fatalf("alpha=1 utility = %v", got)
-	}
-	if got := Utility(y, MaxMin); got != 1 {
-		t.Fatalf("max-min 'utility' = %v", got)
-	}
-}
-
 func TestTCPAckScale(t *testing.T) {
 	s := TCPAckScale(52, 40, 1460)
 	if s <= 0.9 || s >= 1 {

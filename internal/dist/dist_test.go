@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"os"
@@ -57,10 +58,25 @@ func (toyDist) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-func init() { exp.Register(toyDist{n: 10}) }
+// toyPanic is toyDist with a cell that panics.
+type toyPanic struct{ toyDist }
+
+func (toyPanic) Name() string { return "distpanic" }
+
+func (t toyPanic) RunCell(c exp.Cell) sink.Record {
+	if c.Data.(int) == 3 {
+		panic("cell exploded")
+	}
+	return t.toyDist.RunCell(c)
+}
+
+func init() {
+	exp.Register(toyDist{n: 10})
+	exp.Register(toyPanic{toyDist{n: 10}})
+}
 
 // testSpawner serves long-lived workers in-process over pipes, driving
-// ServeWorkOn under an explicit fault schedule — the same injector the
+// ServeWork under an explicit fault schedule — the same injector the
 // subprocess path reads from MESHOPT_FAULT.
 type testSpawner struct {
 	sched  *fault.Schedule
@@ -105,7 +121,7 @@ func (s *testSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		err := ServeWorkOn(inR, outW, s.sched, release)
+		err := ServeWork(inR, outW, s.sched, release, nil)
 		if err != nil {
 			outW.CloseWithError(err)
 		} else {
@@ -471,7 +487,7 @@ func TestCoordScenarioSweepByName(t *testing.T) {
 
 func TestCoordInlineSpecJob(t *testing.T) {
 	spec, _ := scenario.Lookup("fairness")
-	raw, err := scenario.Marshal(spec)
+	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,5 +589,45 @@ func TestValidateShardFileRejectsGarbage(t *testing.T) {
 		if _, _, _, ok := sink.ValidateLog(path); ok {
 			t.Fatalf("%s: validated", name)
 		}
+	}
+}
+
+// TestWorkerAnswersCellPanicAndServesNext: a cell panic fails the one
+// request with an #error naming the cell, after the records before it,
+// and the worker goes on to serve the next request.
+func TestWorkerAnswersCellPanicAndServesNext(t *testing.T) {
+	var in bytes.Buffer
+	for _, name := range []string{"distpanic", "disttoy"} {
+		req, err := json.Marshal(workRequest{
+			Job:   Job{Experiment: name, Seed: 1, Scale: "quick", Shards: 1},
+			Shard: exp.Shard{Index: 0, Count: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Write(append(req, '\n'))
+	}
+	var out bytes.Buffer
+	if err := ServeWork(&in, &out, nil, nil, nil); err != nil {
+		t.Fatalf("worker exited with %v", err)
+	}
+	var control []string
+	records := 0
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		if sink.IsRecord([]byte(line)) {
+			records++
+			continue
+		}
+		control = append(control, line)
+	}
+	if len(control) != 5 || control[0] != ReadyMarker || control[2] != ReadyMarker ||
+		!strings.HasPrefix(control[3], "#done records=10 ") || control[4] != ReadyMarker {
+		t.Fatalf("control lines %q, want #ready, #error, #ready, #done, #ready", control)
+	}
+	if !strings.HasPrefix(control[1], errorPrefix) || !strings.Contains(control[1], "cell 3 panicked: cell exploded") {
+		t.Fatalf("error answer %q does not name the panicking cell", control[1])
+	}
+	if records != 3+10 {
+		t.Fatalf("%d record lines, want 3 before the panic and 10 after", records)
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 
 	"repro/internal/dist/fault"
 	"repro/internal/experiments/exp"
+	"repro/internal/experiments/runner"
 	"repro/internal/obs"
 	"repro/internal/scenario/sink"
 )
@@ -128,35 +130,14 @@ func (c *corruptWriter) Write(p []byte) (int, error) {
 }
 
 // ServeWork runs the worker side of the stdio protocol on (in, out),
-// serving shard requests until in reaches EOF. The fault schedule is
-// read from the environment (MESHOPT_FAULT). cmd/meshopt's `work`
-// subcommand is a direct wrapper.
-func ServeWork(in io.Reader, out io.Writer) error {
-	return ServeWorkLogged(in, out, nil)
-}
-
-// ServeWorkLogged is ServeWork with a structured event logger (request
-// received / request complete, with job/shard/attempt/cell fields).
-// The logger must write somewhere other than out — protocol stream and
-// log stream are strictly separate. Nil discards.
-func ServeWorkLogged(in io.Reader, out io.Writer, logger *slog.Logger) error {
-	sched, err := fault.FromEnv()
-	if err != nil {
-		return fmt.Errorf("dist: work: %w", err)
-	}
-	return serveWorkOn(in, out, sched, nil, logger)
-}
-
-// ServeWorkOn is ServeWork with an explicit fault schedule and hang
-// release channel — the entry point for in-process workers (tests, the
-// serve layer's pipe spawner). Closing release unblocks any hanging
+// serving shard requests until in reaches EOF. sched is the fault
+// schedule (nil injects nothing); closing release unblocks any hanging
 // injected fault, standing in for the process kill a subprocess worker
-// would receive.
-func ServeWorkOn(in io.Reader, out io.Writer, sched *fault.Schedule, release <-chan struct{}) error {
-	return serveWorkOn(in, out, sched, release, nil)
-}
-
-func serveWorkOn(in io.Reader, out io.Writer, sched *fault.Schedule, release <-chan struct{}, logger *slog.Logger) error {
+// would receive. The logger records request received / complete events
+// with job/shard/attempt/cell fields and must write somewhere other than
+// out — protocol stream and log stream are strictly separate. Nil
+// discards.
+func ServeWork(in io.Reader, out io.Writer, sched *fault.Schedule, release <-chan struct{}, logger *slog.Logger) error {
 	if logger == nil {
 		logger = obs.Discard()
 	}
@@ -183,14 +164,23 @@ func serveWorkOn(in io.Reader, out io.Writer, sched *fault.Schedule, release <-c
 			"experiment", req.Job.Experiment, "seed", req.Job.Seed,
 			"shard", req.Shard.Index, "shards", req.Shard.Count,
 			"attempt", req.Attempt, "from_cell", req.FromCell)
-		if err := serveShard(req, out, sched, release); err != nil {
+		var pe *runner.PanicError
+		switch err := serveShard(req, out, sched, release); {
+		case errors.As(err, &pe):
+			// A panicking cell fails this request, not the worker: the
+			// #error answer is out, so stay available for the next one.
+			logger.Error("cell panicked",
+				"shard", req.Shard.Index, "shards", req.Shard.Count, "attempt", req.Attempt,
+				"err", err, "stack", string(pe.Stack))
+		case err != nil:
 			// Injected kills and I/O failures end the worker like a
 			// crash would: the coordinator respawns a fresh process.
 			logger.Error("shard request failed",
 				"shard", req.Shard.Index, "shards", req.Shard.Count, "attempt", req.Attempt, "err", err)
 			return err
+		default:
+			logger.Info("shard request complete", "shard", req.Shard.Index, "shards", req.Shard.Count)
 		}
-		logger.Info("shard request complete", "shard", req.Shard.Index, "shards", req.Shard.Count)
 		if _, err := fmt.Fprintln(out, ReadyMarker); err != nil {
 			return fmt.Errorf("dist: work: writing ready: %w", err)
 		}
@@ -199,7 +189,8 @@ func serveWorkOn(in io.Reader, out io.Writer, sched *fault.Schedule, release <-c
 
 func serveShard(req workRequest, out io.Writer, sched *fault.Schedule, release <-chan struct{}) error {
 	fail := func(err error) error {
-		fmt.Fprintf(out, "%s%v\n", errorPrefix, err)
+		// One control line, whatever the message holds.
+		fmt.Fprintf(out, "%s%s\n", errorPrefix, strings.ReplaceAll(err.Error(), "\n", " "))
 		return err
 	}
 	e, sc, err := req.Job.Resolve()

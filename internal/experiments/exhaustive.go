@@ -156,13 +156,6 @@ func (exhaustiveExp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunExhaustive runs the region comparison through the experiment
-// engine.
-func RunExhaustive(seed int64, sc Scale) ExhaustiveResult {
-	res, _ := exp.Run(exhaustiveExp{}, seed, sc, exp.Options{})
-	return res.(ExhaustiveResult)
-}
-
 // Print emits the comparison summary.
 func (r ExhaustiveResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Exhaustive (2^L) measured region vs online MIS region, L=%d\n", len(r.Links))

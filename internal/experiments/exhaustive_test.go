@@ -7,7 +7,7 @@ import (
 
 func TestExhaustiveVsMISRegion(t *testing.T) {
 	sc := tinyScale()
-	res := RunExhaustive(5, sc)
+	res := run[ExhaustiveResult](t, exhaustiveExp{}, 5, sc)
 	if res.Sampled == 0 || len(res.MeasuredPoints) != 7 {
 		t.Fatalf("bad run: %d samples, %d points", res.Sampled, len(res.MeasuredPoints))
 	}

@@ -29,6 +29,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -390,14 +391,14 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 			return nil, sinkErr
 		}
 		if runErr != nil {
-			return nil, fmt.Errorf("exp: %s cancelled after %d/%d cells: %w", e.Name(), done, len(mine), context.Cause(runCtx))
+			return nil, runFailure(runCtx, e.Name(), runErr, done, len(mine))
 		}
 		return nil, nil
 	}
 
 	// The reduction consumes the stream concurrently with the sink; both
 	// see records in cell order. The deferred close keeps the reducer
-	// goroutine from leaking if a cell panics mid-run.
+	// goroutine from leaking if emit panics mid-run.
 	ch := make(chan sink.Record, 4*runner.Workers())
 	done := make(chan Result, 1)
 	go func() {
@@ -438,7 +439,18 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 	if runErr != nil {
 		// A partial reduction would be wrong; only the streamed prefix
 		// (a valid resume checkpoint) survives a cancelled run.
-		return nil, fmt.Errorf("exp: %s cancelled after %d/%d cells: %w", e.Name(), cellsDone, len(cells), context.Cause(runCtx))
+		return nil, runFailure(runCtx, e.Name(), runErr, cellsDone, len(cells))
 	}
 	return res, nil
+}
+
+// runFailure explains why the fan-out stopped after done of total
+// cells: a cell panic (the *runner.PanicError stays reachable through
+// errors.As) or cancellation.
+func runFailure(ctx context.Context, name string, err error, done, total int) error {
+	var pe *runner.PanicError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("exp: %s: %w", name, err)
+	}
+	return fmt.Errorf("exp: %s cancelled after %d/%d cells: %w", name, done, total, context.Cause(ctx))
 }

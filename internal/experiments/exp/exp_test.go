@@ -57,7 +57,7 @@ func (toyExp) Reduce(recs <-chan sink.Record) Result {
 func init() { Register(toyExp{n: 7}) }
 
 func TestRunNormalizesAndOrdersRecords(t *testing.T) {
-	mem := sink.NewMemory()
+	mem := new(sink.Memory)
 	res, err := Run(toyExp{n: 7}, 3, Quick(), Options{Sink: mem})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRunNormalizesAndOrdersRecords(t *testing.T) {
 }
 
 func TestRunShardSelectsResidueClass(t *testing.T) {
-	mem := sink.NewMemory()
+	mem := new(sink.Memory)
 	res, err := Run(toyExp{n: 7}, 3, Quick(), Options{Sink: mem, Shard: Shard{Index: 1, Count: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -354,5 +354,39 @@ func TestRunSinkErrorAbortsFanout(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 400 {
 		t.Fatalf("all %d cells ran despite the sink failing at record 5", n)
+	}
+}
+
+// panicExp panics in one cell.
+type panicExp struct {
+	toyExp
+	at int
+}
+
+func (e panicExp) RunCell(c Cell) sink.Record {
+	if c.Index == e.at {
+		panic("cell exploded")
+	}
+	return e.toyExp.RunCell(c)
+}
+
+// TestRunCellPanicIsAnError: a panicking cell fails the run with a
+// *runner.PanicError naming it, on the reducing and the sharded path
+// and at any worker count, after the cells before it reached the sink.
+func TestRunCellPanicIsAnError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, shard := range []Shard{{}, {Index: 0, Count: 1}} {
+			old := runner.SetWorkers(workers)
+			mem := new(sink.Memory)
+			_, err := Run(panicExp{toyExp: toyExp{n: 7}, at: 3}, 3, Quick(), Options{Sink: mem, Shard: shard})
+			runner.SetWorkers(old)
+			var pe *runner.PanicError
+			if !errors.As(err, &pe) || pe.Cell != 3 {
+				t.Fatalf("workers=%d shard=%v: err = %v, want a *runner.PanicError for cell 3", workers, shard, err)
+			}
+			if got := len(mem.Records()); got != 3 {
+				t.Fatalf("workers=%d shard=%v: %d records reached the sink, want cells 0..2", workers, shard, got)
+			}
+		}
 	}
 }

@@ -50,7 +50,7 @@ func (multiToy) Reduce(recs <-chan sink.Record) Result {
 func init() { Register(multiToy{n: 5}) }
 
 func TestRunStreamsMultiRecordCells(t *testing.T) {
-	mem := sink.NewMemory()
+	mem := new(sink.Memory)
 	res, err := Run(multiToy{n: 5}, 2, Quick(), Options{Sink: mem})
 	if err != nil {
 		t.Fatal(err)

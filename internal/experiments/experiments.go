@@ -3,11 +3,10 @@
 // exp.Experiment — a deterministic cell enumeration, a private-state
 // per-cell body, and a streaming reduction — registered in the exp
 // registry (see register.go); the engine in internal/experiments/exp
-// runs, streams, shards and merges them uniformly. The RunFigN functions
-// are thin wrappers returning each figure's structured result (with a
-// Print method emitting the series the paper plots); bench_test.go and
-// cmd/meshopt drive the same registry. Scale parameters let benches run
-// abbreviated versions while the CLI runs paper-scale ones.
+// runs, streams, shards and merges them uniformly, and exp.Run returns
+// each figure's structured result (with a Print method emitting the
+// series the paper plots). Scale parameters let benches run abbreviated
+// versions while the CLI runs paper-scale ones.
 package experiments
 
 import (
@@ -24,15 +23,6 @@ import (
 // lives in the exp package alongside the engine, aliased here for the
 // many call sites that predate the unified API.
 type Scale = exp.Scale
-
-// Quick is the scale used by unit benches and tests: phases of a couple
-// of simulated seconds, few repetitions.
-func Quick() Scale { return exp.Quick() }
-
-// Paper approximates the paper's measurement durations (kept shorter than
-// the literal 30 s phases — the simulator's variance, unlike a testbed's,
-// is purely statistical and converges faster).
-func Paper() Scale { return exp.Paper() }
 
 // PairSpec is a candidate link pair for pairwise experiments.
 type PairSpec struct {

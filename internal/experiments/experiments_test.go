@@ -4,15 +4,26 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/experiments/exp"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
+// run executes e through the engine and returns its typed result.
+func run[R any](t testing.TB, e exp.Experiment, seed int64, sc Scale) R {
+	t.Helper()
+	res, err := exp.Run(e, seed, sc, exp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(R)
+}
+
 // tinyScale trims Quick further so the whole figure suite stays fast in
 // unit tests; benches use Quick and the CLI uses Paper.
 func tinyScale() Scale {
-	sc := Quick()
+	sc := exp.Quick()
 	sc.PhaseDur = 1500 * sim.Millisecond
 	sc.Pairs = 6
 	sc.Configs = 2
@@ -64,7 +75,7 @@ func TestGenerateConfigsShape(t *testing.T) {
 func TestFig3LIRDistributionShape(t *testing.T) {
 	sc := tinyScale()
 	sc.Pairs = 8
-	res := RunFig3(3, sc)
+	res := run[Fig3Result](t, fig3Exp{}, 3, sc)
 	if len(res.LIR1) < 4 || len(res.LIR11) < 4 {
 		t.Fatalf("too few pairs measured: %d/%d", len(res.LIR1), len(res.LIR11))
 	}
@@ -87,7 +98,7 @@ func TestFig3LIRDistributionShape(t *testing.T) {
 
 func TestFig4CSAccurateIAFNs(t *testing.T) {
 	sc := tinyScale()
-	res := RunFig4(5, sc)
+	res := run[Fig4Result](t, fig4Exp{}, 5, sc)
 	if len(res.Outcomes) == 0 {
 		t.Fatal("no outcomes")
 	}
@@ -121,7 +132,7 @@ func TestFig4CSAccurateIAFNs(t *testing.T) {
 func TestFig5CaptureRegionRecovered(t *testing.T) {
 	sc := tinyScale()
 	sc.GridN = 5
-	res := RunFig5(3, sc)
+	res := run[Fig5Result](t, fig5Exp{}, 3, sc)
 	if res.MissedFraction < 0.1 {
 		t.Fatalf("missed fraction %v too small for the IA example", res.MissedFraction)
 	}
@@ -133,7 +144,7 @@ func TestFig5CaptureRegionRecovered(t *testing.T) {
 
 func TestFig6ThresholdMonotonicity(t *testing.T) {
 	lirs := []float64{0.3, 0.45, 0.55, 0.6, 0.65, 0.8, 0.9, 0.96, 0.97, 0.99}
-	res := RunFig6(lirs)
+	res := LIRThresholdSweep(lirs)
 	for i := 1; i < len(res.Rows); i++ {
 		if res.Rows[i].FN < res.Rows[i-1].FN-1e-12 {
 			t.Fatalf("FN not nondecreasing in threshold: %+v", res.Rows)
@@ -148,7 +159,7 @@ func TestFig6ThresholdMonotonicity(t *testing.T) {
 func TestNetValidationShape(t *testing.T) {
 	sc := tinyScale()
 	sc.Configs = 2
-	res := RunNetValidation(11, sc)
+	res := run[NetValidationResult](t, netvalidExp{}, 11, sc)
 	if len(res.LIRSamples) == 0 {
 		t.Fatal("no validation samples")
 	}
@@ -173,7 +184,7 @@ func TestFig9CasesDistinct(t *testing.T) {
 	sc := tinyScale()
 	sc.ProbeWindow = 400
 	sc.ProbePeriod = 25 * sim.Millisecond
-	res := RunFig9(2, sc)
+	res := run[Fig9Result](t, fig9Exp{}, 2, sc)
 	// Uniform case: measured p close to channel truth.
 	if res.Uniform.P > res.Uniform.Truth+0.1 {
 		t.Fatalf("uniform case has unexplained loss: p=%v truth=%v", res.Uniform.P, res.Uniform.Truth)
@@ -200,7 +211,7 @@ func abs(x float64) float64 {
 func TestFig10ErrorsBounded(t *testing.T) {
 	sc := tinyScale()
 	sc.ProbeWindow = 300
-	res := RunFig10(4, sc)
+	res := run[Fig10Result](t, fig10Exp{}, 4, sc)
 	if len(res.Errors) < 5 {
 		t.Fatalf("only %d links scored", len(res.Errors))
 	}
@@ -214,7 +225,7 @@ func TestFig11AdHocOvershootsOnline(t *testing.T) {
 	sc := tinyScale()
 	sc.Pairs = 6
 	sc.ProbeWindow = 200
-	res := RunFig11(6, sc)
+	res := run[Fig11Result](t, fig11Exp{}, 6, sc)
 	if len(res.Links) < 3 {
 		t.Fatalf("only %d links measured", len(res.Links))
 	}
@@ -229,7 +240,7 @@ func TestFig13StarvationAndRecovery(t *testing.T) {
 	sc := tinyScale()
 	sc.TrafficDur = 10 * sim.Second
 	sc.Iterations = 1
-	res := RunFig13(3, sc)
+	res := run[Fig13Result](t, fig13Exp{}, 3, sc)
 	no := res.PerRegime[NoRC]
 	prop := res.PerRegime[RCProp]
 	if no[0].Mean == 0 {
@@ -250,7 +261,7 @@ func TestFig14SuiteMetrics(t *testing.T) {
 	sc.Configs = 2
 	sc.Iterations = 2
 	sc.TrafficDur = 6 * sim.Second
-	res := RunFig14(9, sc)
+	res := run[Fig14Result](t, fig14Exp{}, 9, sc)
 	if len(res.RatioProp) == 0 {
 		t.Fatal("no configs completed")
 	}

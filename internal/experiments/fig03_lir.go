@@ -91,13 +91,6 @@ func fig3Gather(recs <-chan sink.Record) Fig3Result {
 	return res
 }
 
-// RunFig3 measures the Fig. 3 LIR populations through the experiment
-// engine.
-func RunFig3(seed int64, sc Scale) Fig3Result {
-	res, _ := exp.Run(fig3Exp{}, seed, sc, exp.Options{})
-	return res.(Fig3Result)
-}
-
 // Bimodality summarizes the two-mode structure the paper reports: the
 // fraction of pairs below 0.7 (clearly interfering) and above 0.95
 // (clearly independent).

@@ -118,13 +118,6 @@ func (fig4Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunFig4 evaluates the Fig. 4 model-accuracy suite through the
-// experiment engine.
-func RunFig4(seed int64, sc Scale) Fig4Result {
-	res, _ := exp.Run(fig4Exp{}, seed, sc, exp.Options{})
-	return res.(Fig4Result)
-}
-
 // evalPair runs the §4.3.1 methodology on one pair: measure the primaries
 // and the LIR point, then grid-sample the independent region and compare
 // model predictions with measured feasibility.

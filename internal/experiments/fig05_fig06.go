@@ -142,13 +142,6 @@ func (fig5Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunFig5 samples the Fig. 5 feasibility region through the experiment
-// engine.
-func RunFig5(seed int64, sc Scale) Fig5Result {
-	res, _ := exp.Run(fig5Exp{}, seed, sc, exp.Options{})
-	return res.(Fig5Result)
-}
-
 // Print emits the extreme points and the missed/recovered fractions.
 func (r Fig5Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 5: IA pair at 1 Mb/s, two-point vs three-point model")
@@ -189,12 +182,12 @@ func (fig6Exp) Describe() string {
 func (fig6Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	pop := fig3Gather(recs)
 	lirs := append(append([]float64(nil), pop.LIR1...), pop.LIR11...)
-	return RunFig6(lirs)
+	return LIRThresholdSweep(lirs)
 }
 
-// RunFig6 sweeps LIR thresholds over a measured LIR population (the
+// LIRThresholdSweep sweeps LIR thresholds over a measured LIR population (the
 // Fig. 3 LIRs when run as the registered fig6 experiment).
-func RunFig6(lirs []float64) Fig6Result {
+func LIRThresholdSweep(lirs []float64) Fig6Result {
 	var res Fig6Result
 	for _, th := range []float64{0.50, 0.60, 0.70, 0.80, 0.85, 0.90, 0.95, 0.99} {
 		e := feasibility.ExpectedLIRErrors(lirs, th)

@@ -181,13 +181,6 @@ func (netvalidExp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunNetValidation executes the shared Figs. 7/8/12 validation suite
-// through the experiment engine.
-func RunNetValidation(seed int64, sc Scale) NetValidationResult {
-	res, _ := exp.Run(netvalidExp{}, seed, sc, exp.Options{})
-	return res.(NetValidationResult)
-}
-
 // scaleSamples filters samples at a scaling factor.
 func scaleSamples(all []FlowSample, scale float64) []FlowSample {
 	var out []FlowSample

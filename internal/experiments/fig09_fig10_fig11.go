@@ -130,12 +130,6 @@ func (fig9Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunFig9 runs both estimator cases through the experiment engine.
-func RunFig9(seed int64, sc Scale) Fig9Result {
-	res, _ := exp.Run(fig9Exp{}, seed, sc, exp.Options{})
-	return res.(Fig9Result)
-}
-
 // Print emits both curves.
 func (r Fig9Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 9: channel-loss estimator cases")
@@ -374,13 +368,6 @@ func (fig10Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunFig10 runs the estimator accuracy suite through the experiment
-// engine.
-func RunFig10(seed int64, sc Scale) Fig10Result {
-	res, _ := exp.Run(fig10Exp{}, seed, sc, exp.Options{})
-	return res.(Fig10Result)
-}
-
 // Print emits the error CDF, its quantile series and the RMSE-vs-S
 // series.
 func (r Fig10Result) Print(w io.Writer) {
@@ -519,13 +506,6 @@ func (fig11Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	res.OnlineRMSE = stats.RMSE(onlineN, truthN)
 	res.AdHocRMSE = stats.RMSE(adhocN, truthN)
 	return res
-}
-
-// RunFig11 runs the capacity-estimation comparison through the
-// experiment engine.
-func RunFig11(seed int64, sc Scale) Fig11Result {
-	res, _ := exp.Run(fig11Exp{}, seed, sc, exp.Options{})
-	return res.(Fig11Result)
 }
 
 // Print emits per-link normalized estimates as in Fig. 11.

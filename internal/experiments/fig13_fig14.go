@@ -156,12 +156,6 @@ func (fig13Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	return res
 }
 
-// RunFig13 runs the starvation suite through the experiment engine.
-func RunFig13(seed int64, sc Scale) Fig13Result {
-	res, _ := exp.Run(fig13Exp{}, seed, sc, exp.Options{})
-	return res.(Fig13Result)
-}
-
 // Print emits the Fig. 13 bars.
 func (r Fig13Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 13: two-flow upstream TCP starvation at 1 Mb/s")
@@ -298,13 +292,6 @@ func (fig14Exp) Reduce(recs <-chan sink.Record) exp.Result {
 	}
 	flush()
 	return res
-}
-
-// RunFig14 runs the multi-config TCP suite through the experiment
-// engine.
-func RunFig14(seed int64, sc Scale) Fig14Result {
-	res, _ := exp.Run(fig14Exp{}, seed, sc, exp.Options{})
-	return res.(Fig14Result)
 }
 
 // reduceFig14Config folds one configuration's runs into the result. The

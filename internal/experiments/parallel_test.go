@@ -14,7 +14,7 @@ import (
 
 // detScale is a scale small enough to run a figure twice in a unit test.
 func detScale() Scale {
-	sc := Quick()
+	sc := exp.Quick()
 	sc.PhaseDur = 800 * sim.Millisecond
 	sc.Pairs = 4
 	sc.Configs = 1
@@ -39,8 +39,8 @@ func withWorkers(n int, fn func()) {
 func TestRunFig10DeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := detScale()
 	var seq, par Fig10Result
-	withWorkers(1, func() { seq = RunFig10(4, sc) })
-	withWorkers(max(2, runtime.GOMAXPROCS(0)), func() { par = RunFig10(4, sc) })
+	withWorkers(1, func() { seq = run[Fig10Result](t, fig10Exp{}, 4, sc) })
+	withWorkers(max(2, runtime.GOMAXPROCS(0)), func() { par = run[Fig10Result](t, fig10Exp{}, 4, sc) })
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Fig10 differs between 1 worker and the full pool:\nseq: %+v\npar: %+v", seq, par)
 	}
@@ -52,8 +52,8 @@ func TestRunFig10DeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunNetValidationDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := detScale()
 	var seq, par NetValidationResult
-	withWorkers(1, func() { seq = RunNetValidation(11, sc) })
-	withWorkers(max(2, runtime.GOMAXPROCS(0)), func() { par = RunNetValidation(11, sc) })
+	withWorkers(1, func() { seq = run[NetValidationResult](t, netvalidExp{}, 11, sc) })
+	withWorkers(max(2, runtime.GOMAXPROCS(0)), func() { par = run[NetValidationResult](t, netvalidExp{}, 11, sc) })
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("NetValidation differs between 1 worker and the full pool:\nseq: %+v\npar: %+v", seq, par)
 	}
@@ -122,8 +122,8 @@ func TestFig14JSONLByteIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestRunFig4DeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := detScale()
 	var seq, par Fig4Result
-	withWorkers(1, func() { seq = RunFig4(5, sc) })
-	withWorkers(max(2, runtime.GOMAXPROCS(0)), func() { par = RunFig4(5, sc) })
+	withWorkers(1, func() { seq = run[Fig4Result](t, fig4Exp{}, 5, sc) })
+	withWorkers(max(2, runtime.GOMAXPROCS(0)), func() { par = run[Fig4Result](t, fig4Exp{}, 5, sc) })
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Fig4 differs between 1 worker and the full pool:\nseq: %+v\npar: %+v", seq, par)
 	}

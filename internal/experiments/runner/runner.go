@@ -4,10 +4,10 @@
 // Every figure of the paper's evaluation sweeps independent (seed,
 // config, link-pair, probe-window) cells, each of which builds its own
 // simulator and topology from a seed assigned before the fan-out starts.
-// Map executes those cells across a pool of workers and gathers results
-// by cell index, so the output of a run is bit-identical whatever the
-// worker count: parallelism changes only the wall-clock, never the
-// numbers.
+// StreamCtx executes those cells across a pool of workers and emits
+// results in cell order, so the output of a run is bit-identical
+// whatever the worker count: parallelism changes only the wall-clock,
+// never the numbers.
 //
 // The contract a cell function must honour for that guarantee is the
 // usual one for deterministic parallel sweeps:
@@ -22,19 +22,18 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// defaultWorkers is the pool size used by Map; 0 means GOMAXPROCS.
+// defaultWorkers is the pool size callers read through Workers; 0 means
+// GOMAXPROCS.
 var defaultWorkers atomic.Int64
 
-// SetWorkers fixes the default pool size used by Map. n <= 0 restores
-// the default of GOMAXPROCS. It returns the previous setting so callers
-// (tests, benchmarks) can restore it.
+// SetWorkers fixes the default pool size reported by Workers. n <= 0
+// restores the default of GOMAXPROCS. It returns the previous setting
+// so callers (tests, benchmarks) can restore it.
 func SetWorkers(n int) int {
 	old := int(defaultWorkers.Swap(int64(n)))
 	return old
@@ -48,101 +47,14 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn(i, cells[i]) for every cell on the default worker pool and
-// returns the results indexed like cells. See MapN for the semantics.
-func Map[T, R any](cells []T, fn func(i int, cell T) R) []R {
-	return MapN(Workers(), cells, fn)
+// PanicError reports a cell function that panicked. StreamCtx returns
+// it once the pool has drained; every cell before Cell was emitted.
+type PanicError struct {
+	Cell  int
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
 }
 
-// MapN is Map with an explicit worker count (n <= 0 means GOMAXPROCS).
-// It is MapCtx with a background context: the run cannot be cancelled
-// and the error is statically nil.
-func MapN[T, R any](workers int, cells []T, fn func(i int, cell T) R) []R {
-	out, _ := MapCtx(context.Background(), workers, cells, fn)
-	return out
-}
-
-// MapCtx is the cancellable core of the gathering fan-out. Cells are
-// claimed from a shared counter so stragglers do not idle the pool, and
-// each result lands in out[i] for cell i: the gathered slice is
-// identical for any worker count. A panic in any cell is re-raised on
-// the calling goroutine after the pool drains.
-//
-// Cancelling ctx stops the run at the next cell boundary: no new cells
-// are claimed and cells already executing finish. Because cells are
-// claimed from a sequential counter and every claimed cell completes,
-// the filled entries of out always form a gapless prefix out[0:k]; the
-// remaining entries are zero values. The return error is nil when every
-// cell ran and ctx.Err() when the sweep was cut short.
-func MapCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i int, cell T) R) ([]R, error) {
-	out := make([]R, len(cells))
-	if len(cells) == 0 {
-		return out, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	fn = instrumentCell(ctx, fn)
-	done := ctx.Done() // nil for background contexts: the case never fires
-	if workers == 1 {
-		for i, c := range cells {
-			select {
-			case <-done:
-				countCancelled(len(cells), i)
-				return out, ctx.Err()
-			default:
-			}
-			out[i] = fn(i, c)
-		}
-		return out, nil
-	}
-
-	var (
-		next      atomic.Int64
-		wg        sync.WaitGroup
-		panicked  atomic.Value // first cell panic, re-raised by the caller
-		cancelled atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					cancelled.Store(true)
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, fmt.Errorf("runner: cell %d panicked: %v", i, r))
-						}
-					}()
-					out[i] = fn(i, cells[i])
-				}()
-				if panicked.Load() != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
-	if cancelled.Load() && int(next.Load()) < len(cells) {
-		// Cells [next, len) were never claimed; out[0:next] is filled.
-		countCancelled(len(cells), int(next.Load()))
-		return out, ctx.Err()
-	}
-	return out, nil
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("runner: cell %d panicked: %v", e.Cell, e.Value)
 }

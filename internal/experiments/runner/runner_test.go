@@ -1,47 +1,22 @@
 package runner
 
 import (
-	"context"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func TestMapGathersByIndex(t *testing.T) {
-	cells := []int{6, 5, 4, 3, 2, 1}
-	for _, workers := range []int{1, 2, 4, 16} {
-		got := MapN(workers, cells, func(i, c int) int { return i * 10 * c / c })
-		for i := range cells {
-			if got[i] != i*10 {
-				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, got[i], i*10)
-			}
-		}
-	}
-}
-
-func TestMapEveryCellRunsExactlyOnce(t *testing.T) {
+func TestStreamEveryCellRunsExactlyOnce(t *testing.T) {
 	const n = 200
 	var counts [n]atomic.Int64
 	cells := make([]int, n)
-	MapN(8, cells, func(i, _ int) struct{} {
+	stream(t, 8, cells, func(i, _ int) struct{} {
 		counts[i].Add(1)
 		return struct{}{}
-	})
+	}, func(int, struct{}) {})
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("cell %d ran %d times", i, c)
 		}
-	}
-}
-
-func TestMapEmptyAndSingle(t *testing.T) {
-	if got := Map(nil, func(int, int) int { return 1 }); len(got) != 0 {
-		t.Fatalf("empty map returned %v", got)
-	}
-	got := Map([]string{"x"}, func(_ int, s string) string { return s + "y" })
-	if len(got) != 1 || got[0] != "xy" {
-		t.Fatalf("single-cell map returned %v", got)
 	}
 }
 
@@ -54,62 +29,5 @@ func TestSetWorkersRoundTrip(t *testing.T) {
 	SetWorkers(0)
 	if Workers() < 1 {
 		t.Fatalf("Workers() = %d with default pool", Workers())
-	}
-}
-
-func TestMapPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic in a cell did not propagate")
-		}
-		if !strings.Contains(r.(error).Error(), "boom") {
-			t.Fatalf("panic payload %v lost the cause", r)
-		}
-	}()
-	MapN(4, []int{0, 1, 2, 3}, func(i, _ int) int {
-		if i == 2 {
-			panic("boom")
-		}
-		return i
-	})
-}
-
-// TestMapCtxCancelFillsGaplessPrefix: a cancelled gathering run leaves
-// out[0:k] filled and the rest zero — never a gap — because cells are
-// claimed sequentially and every claimed cell completes.
-func TestMapCtxCancelFillsGaplessPrefix(t *testing.T) {
-	const n = 300
-	cells := make([]int, n)
-	for i := range cells {
-		cells[i] = i + 1 // distinguishable from the zero value
-	}
-	for _, workers := range []int{1, 4, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
-		out, err := MapCtx(ctx, workers, cells, func(i, c int) int {
-			if ran.Add(1) == 20 {
-				cancel()
-			}
-			time.Sleep(10 * time.Microsecond)
-			return c
-		})
-		cancel()
-		k := 0
-		for k < n && out[k] != 0 {
-			k++
-		}
-		for i := k; i < n; i++ {
-			if out[i] != 0 {
-				t.Fatalf("workers=%d: out has a gap: out[%d]=0 but out[%d]=%d", workers, k, i, out[i])
-			}
-		}
-		if k == n {
-			if err != nil {
-				t.Fatalf("workers=%d: complete run returned %v", workers, err)
-			}
-		} else if err != context.Canceled {
-			t.Fatalf("workers=%d: cut-short run (%d/%d cells) returned %v", workers, k, n, err)
-		}
 	}
 }

@@ -2,30 +2,16 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// Stream runs fn(i, cells[i]) for every cell on the default worker pool
-// and calls emit(i, result) in strictly increasing cell order as results
-// become available, instead of gathering everything first. See StreamN.
-func Stream[T, R any](cells []T, fn func(i int, cell T) R, emit func(i int, r R)) {
-	StreamN(Workers(), cells, fn, emit)
-}
-
-// StreamN is Stream with an explicit worker count (n <= 0 means
-// GOMAXPROCS). It is StreamCtx with a background context: the run cannot
-// be cancelled and the error is statically nil.
-func StreamN[T, R any](workers int, cells []T, fn func(i int, cell T) R, emit func(i int, r R)) {
-	// The background context never cancels, so the error is always nil.
-	_ = StreamCtx(context.Background(), workers, cells, fn, emit)
-}
-
-// StreamCtx is the cancellable core of the streaming fan-out. Cells
-// execute on the pool exactly as in MapN, but each result is handed to
-// emit on the calling goroutine, serialized, in cell index order, as
+// StreamCtx runs fn(i, cells[i]) for every cell on a pool of workers
+// (workers <= 0 means GOMAXPROCS). Cells are claimed from a shared
+// counter so stragglers do not idle the pool, and each result is handed
+// to emit on the calling goroutine, serialized, in cell index order, as
 // soon as its index becomes the emission frontier. A result computed out
 // of order is buffered only until every earlier cell has been emitted,
 // so the reduction downstream of emit sees the same order a sequential
@@ -51,8 +37,8 @@ func StreamN[T, R any](workers int, cells []T, fn func(i int, cell T) R, emit fu
 //
 // A panic in any cell stops new cells from being claimed, suppresses
 // emission from that cell onward (earlier cells still emit), and is
-// re-raised on the calling goroutine after the pool drains. A panic in
-// emit itself also propagates to the caller after the workers drain.
+// returned as a *PanicError after the pool drains. A panic in emit is
+// the caller's own and propagates.
 func StreamCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i int, cell T) R, emit func(i int, r R)) error {
 	n := len(cells)
 	if n == 0 {
@@ -74,20 +60,24 @@ func StreamCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i 
 				return ctx.Err()
 			default:
 			}
-			emit(i, fn(i, c))
+			r, perr := runCell(fn, i, c)
+			if perr != nil {
+				return perr
+			}
+			emit(i, r)
 		}
 		return nil
 	}
 
 	type item struct {
-		i  int
-		r  R
-		ok bool // false when the cell panicked
+		i   int
+		r   R
+		err *PanicError
 	}
 	var (
 		next      atomic.Int64
 		wg        sync.WaitGroup
-		panicked  atomic.Value // first cell panic, re-raised by the caller
+		panicked  atomic.Pointer[PanicError] // first cell panic, returned
 		abortOnce sync.Once
 	)
 	window := 4 * workers // reorder-buffer bound (completed, unemitted)
@@ -116,17 +106,11 @@ func StreamCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i 
 				if i >= n {
 					return
 				}
-				var it item
-				it.i = i
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, fmt.Errorf("runner: cell %d panicked: %v", i, r))
-						}
-					}()
-					it.r = fn(i, cells[i])
-					it.ok = true
-				}()
+				it := item{i: i}
+				it.r, it.err = runCell(fn, i, cells[i])
+				if it.err != nil {
+					panicked.CompareAndSwap(nil, it.err)
+				}
 				results <- it
 				if panicked.Load() != nil {
 					return
@@ -156,7 +140,7 @@ func StreamCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i 
 	pending := make(map[int]R)
 	frontier := 0
 	for it := range results {
-		if !it.ok {
+		if it.err != nil {
 			// The panicked cell's index stalls the frontier for good;
 			// unblock any workers waiting on tokens and stop emitting.
 			abortOnce.Do(func() { close(abort) })
@@ -175,7 +159,7 @@ func StreamCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i 
 		}
 	}
 	if p := panicked.Load(); p != nil {
-		panic(p)
+		return p
 	}
 	if frontier < n {
 		// Cancelled mid-sweep: the emitted prefix is [0, frontier).
@@ -183,4 +167,14 @@ func StreamCtx[T, R any](ctx context.Context, workers int, cells []T, fn func(i 
 		return ctx.Err()
 	}
 	return nil
+}
+
+// runCell calls fn(i, cell) and turns a panic into a *PanicError.
+func runCell[T, R any](fn func(i int, cell T) R, i int, cell T) (r R, err *PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Cell: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i, cell), nil
 }

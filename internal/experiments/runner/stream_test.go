@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ func TestStreamEmitsInOrder(t *testing.T) {
 			delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
 		}
 		var got []int
-		StreamN(workers, cells, func(i int, c int) int {
+		stream(t, workers, cells, func(i int, c int) int {
 			time.Sleep(delays[i])
 			return c * c
 		}, func(i int, r int) {
@@ -44,44 +45,29 @@ func TestStreamEmitsInOrder(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesMap pins Stream's results to Map's for a pure cell
-// function.
-func TestStreamMatchesMap(t *testing.T) {
-	cells := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	fn := func(i int, c float64) float64 { return c * float64(i+1) }
-	want := MapN(4, cells, fn)
-	got := make([]float64, len(cells))
-	StreamN(4, cells, fn, func(i int, r float64) { got[i] = r })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stream %v != Map %v", got, want)
-	}
-}
-
-// TestStreamPanicPropagates checks a cell panic reaches the caller and
-// that cells before the panicked index still emit.
+// TestStreamPanicPropagates checks a cell panic reaches the caller as a
+// *PanicError naming the cell, at any worker count, and that every cell
+// before the panicked index still emits.
 func TestStreamPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate")
+	for _, workers := range []int{1, 4} {
+		var emitted []int
+		err := StreamCtx(context.Background(), workers, make([]int, 50), func(i int, _ int) int {
+			if i == 25 {
+				panic("boom")
+			}
+			return i
+		}, func(i int, _ int) { emitted = append(emitted, i) })
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Cell != 25 || pe.Value != "boom" || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: err = %#v, want a *PanicError for cell 25", workers, err)
 		}
-		if !strings.Contains(r.(error).Error(), "boom") {
-			t.Fatalf("unexpected panic payload: %v", r)
+		if !strings.Contains(err.Error(), "cell 25") || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("workers=%d: error %q lost the cell or the cause", workers, err)
 		}
-	}()
-	cells := make([]int, 50)
-	var emitted atomic.Int64
-	StreamN(4, cells, func(i int, _ int) int {
-		if i == 25 {
-			panic("boom")
+		if len(emitted) != 25 || emitted[24] != 24 {
+			t.Fatalf("workers=%d: emitted %v, want cells 0..24", workers, emitted)
 		}
-		return i
-	}, func(i int, _ int) {
-		if i >= 25 {
-			t.Errorf("emit fired for cell %d past the panicked index", i)
-		}
-		emitted.Add(1)
-	})
+	}
 }
 
 // TestStreamBackpressureBoundsReorderWindow: a straggling early cell
@@ -92,7 +78,7 @@ func TestStreamBackpressureBoundsReorderWindow(t *testing.T) {
 	cells := make([]int, 400)
 	var maxClaimed atomic.Int64
 	var emitted int
-	StreamN(workers, cells, func(i int, _ int) int {
+	stream(t, workers, cells, func(i int, _ int) int {
 		for {
 			cur := maxClaimed.Load()
 			if int64(i) <= cur || maxClaimed.CompareAndSwap(cur, int64(i)) {
@@ -123,11 +109,11 @@ func TestStreamBackpressureBoundsReorderWindow(t *testing.T) {
 
 // TestStreamEmptyAndSingle covers the degenerate shapes.
 func TestStreamEmptyAndSingle(t *testing.T) {
-	StreamN(4, nil, func(i int, c int) int { return c }, func(int, int) {
+	stream(t, 4, nil, func(i int, c int) int { return c }, func(int, int) {
 		t.Fatal("emit on empty cells")
 	})
 	var n int
-	StreamN(4, []int{7}, func(i int, c int) int { return c }, func(i int, r int) {
+	stream(t, 4, []int{7}, func(i int, c int) int { return c }, func(i int, r int) {
 		if i != 0 || r != 7 {
 			t.Fatalf("got (%d,%d)", i, r)
 		}
@@ -208,5 +194,13 @@ func TestStreamCtxCancelRaced(t *testing.T) {
 		if (err == nil) != (len(got) == len(cells)) {
 			t.Fatalf("trial %d: %d/%d cells emitted but err = %v", trial, len(got), len(cells), err)
 		}
+	}
+}
+
+// stream runs StreamCtx to completion on a background context.
+func stream[T, R any](t *testing.T, workers int, cells []T, fn func(i int, cell T) R, emit func(i int, r R)) {
+	t.Helper()
+	if err := StreamCtx(context.Background(), workers, cells, fn, emit); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -106,7 +106,7 @@ func TestEveryExperimentRunsAndReduces(t *testing.T) {
 			if !ok {
 				t.Fatalf("registry lost %q", name)
 			}
-			mem := sink.NewMemory()
+			mem := new(sink.Memory)
 			res, err := exp.Run(e, 4, sc, exp.Options{Sink: mem})
 			if err != nil {
 				t.Fatal(err)

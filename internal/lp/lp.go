@@ -8,7 +8,7 @@
 // dense tableau with Bland's anti-cycling rule is simple and fast enough.
 // Callers that solve the same problem shape repeatedly (the feasibility
 // region answers thousands of membership queries against one constraint
-// matrix) mutate coefficients in place with SetRHS/SetCoef and reuse a
+// matrix) mutate coefficients in place with SetRHS and reuse a
 // Workspace so no tableau is reallocated per query.
 package lp
 
@@ -57,15 +57,9 @@ func (p *Problem) AddConstraint(coef []float64, op Op, rhs float64) {
 	p.rhs = append(p.rhs, rhs)
 }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // SetRHS replaces the right-hand side of constraint i. It lets a cached
 // problem be re-aimed at a new query point without rebuilding its rows.
 func (p *Problem) SetRHS(i int, rhs float64) { p.rhs[i] = rhs }
-
-// SetCoef replaces one coefficient of constraint i.
-func (p *Problem) SetCoef(i, j int, v float64) { p.rows[i][j] = v }
 
 // Solver failure modes.
 var (

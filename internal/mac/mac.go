@@ -93,8 +93,6 @@ type MAC struct {
 	sendingAck bool
 	ackQueued  bool
 
-	adapter RateAdapter // optional rate adaptation (nil = fixed rates)
-
 	lastSeq map[int]int64 // per-source dedup of immediate retransmissions
 
 	Stats Stats
@@ -126,10 +124,6 @@ func (m *MAC) ID() int { return m.radio.ID() }
 // QueueLen returns the number of frames waiting in the interface queue,
 // including the frame currently being served.
 func (m *MAC) QueueLen() int { return len(m.queue) }
-
-// SetCallbacks replaces the upper-layer callbacks (used when a node stack
-// is assembled in stages).
-func (m *MAC) SetCallbacks(cb Callbacks) { m.cb = cb }
 
 // Enqueue adds a frame to the interface queue. It reports false and drops
 // the frame when the queue is full. The MAC stamps the sequence number.
@@ -210,9 +204,6 @@ func (m *MAC) attemptTx() {
 		m.state = stWaitIdle
 		return
 	}
-	if m.adapter != nil && !m.cur.Broadcast() && m.cur.Kind == phy.KindData {
-		m.cur.Rate = m.adapter.RateFor(m.cur.Dst, m.cur.Rate)
-	}
 	m.state = stTx
 	m.Stats.Attempts++
 	m.med.Transmit(m.radio, m.cur)
@@ -256,9 +247,6 @@ func (m *MAC) TxDone(f *phy.Frame) {
 }
 
 func (m *MAC) onAckTimeout() {
-	if m.adapter != nil && m.cur != nil {
-		m.adapter.OnResult(m.cur.Dst, false)
-	}
 	m.retries++
 	if m.retries > m.RetryLimit {
 		m.Stats.Drops++
@@ -297,9 +285,6 @@ func (m *MAC) Receive(f *phy.Frame) {
 		if m.state == stWaitAck && m.cur != nil && f.Src == m.cur.Dst && f.Seq == m.cur.Seq {
 			m.ackTimeout.Stop()
 			m.Stats.Successes++
-			if m.adapter != nil {
-				m.adapter.OnResult(m.cur.Dst, true)
-			}
 			m.finish(true)
 		}
 	case f.Broadcast():

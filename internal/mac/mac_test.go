@@ -198,10 +198,10 @@ func TestSaturationThroughput11Mbps(t *testing.T) {
 			ma.Enqueue(data(1, 1470, phy.Rate11))
 		}
 	}
-	ma.SetCallbacks(Callbacks{
+	ma.cb = Callbacks{
 		Receive: func(f *phy.Frame) { ub.received = append(ub.received, f) },
 		Sent:    func(f *phy.Frame, ok bool) { fill() },
-	})
+	}
 	fill()
 	const dur = 5 * sim.Second
 	s.Run(dur)
@@ -222,10 +222,10 @@ func TestSaturationThroughput1Mbps(t *testing.T) {
 			ma.Enqueue(data(1, 1470, phy.Rate1))
 		}
 	}
-	ma.SetCallbacks(Callbacks{
+	ma.cb = Callbacks{
 		Receive: func(f *phy.Frame) {},
 		Sent:    func(f *phy.Frame, ok bool) { fill() },
-	})
+	}
 	mb := ub // receiver records via its own callbacks already set
 	_ = mb
 	// Re-wire receiver side: recreate recording.

@@ -293,17 +293,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	}).(*Histogram)
 }
 
-// ExpBuckets returns n exponentially spaced bucket bounds starting at
-// start with the given factor — the usual latency-histogram shape.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start
-		start *= factor
-	}
-	return b
-}
-
 // TimeBuckets is the default wall-time bucket layout (seconds): 100µs to
 // ~100s, quarter-decade steps.
 func TimeBuckets() []float64 {

@@ -117,7 +117,7 @@ func TestHistogramSnapshotDeterminism(t *testing.T) {
 	var want Snapshot
 	for trial := 0; trial < 5; trial++ {
 		r := NewRegistry()
-		h := r.HistogramVec("cell_seconds", "", ExpBuckets(0.125, 2, 8), "exp")
+		h := r.HistogramVec("cell_seconds", "", []float64{0.125, 0.25, 0.5, 1, 2, 4, 8, 16}, "exp")
 		rng := rand.New(rand.NewSource(int64(trial)))
 		shuffled := append([]float64(nil), values...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })

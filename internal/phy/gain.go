@@ -9,12 +9,6 @@ type GainTable struct {
 	mw []float64
 }
 
-// N returns the radio count the table was built for.
-func (t *GainTable) N() int { return t.n }
-
-// MW returns the received power in mW at radio b when radio a transmits.
-func (t *GainTable) MW(a, b int) float64 { return t.mw[a*t.n+b] }
-
 // BuildGainTable computes the pairwise-gain table for radios at the
 // given positions under cfg. shadowDB maps unordered node pairs (lower
 // id first) to a symmetric extra loss in dB; nil means no shadowing.

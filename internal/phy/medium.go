@@ -168,7 +168,8 @@ func DefaultConfig() Config {
 }
 
 // Medium is the shared wireless channel. It owns every radio, computes
-// pairwise gains from the propagation model plus per-pair shadowing, and
+// pairwise gains from the propagation model (or takes them from a
+// prebuilt table that folds in per-pair shadowing), and
 // implements the SINR reception model with physical-layer capture.
 //
 // Propagation delay is ignored (sub-microsecond at mesh scale) and frames
@@ -188,7 +189,6 @@ type Medium struct {
 	rng     *rand.Rand
 
 	radios []*Radio
-	shadow map[[2]int]float64 // symmetric per-pair shadowing, dB; cold (gain build only)
 	ber    map[[2]int]float64 // staging for per-directed-link bit error rates
 	gain   [][]float64        // cached rx power in mW; built lazily
 	table  *GainTable         // frozen gain table backing gain (possibly shared)
@@ -213,7 +213,6 @@ func NewMedium(s *sim.Sim, cfg Config) *Medium {
 		lockMW:  DBmToMW(cfg.LockSensDBm),
 		csMW:    DBmToMW(cfg.CSThreshDBm),
 		rng:     s.NewStream(),
-		shadow:  make(map[[2]int]float64),
 		ber:     make(map[[2]int]float64),
 	}
 }
@@ -248,23 +247,11 @@ func (m *Medium) AddRadio(pos Position) *Radio {
 	return r
 }
 
-// Radios returns the radios on this medium in id order.
-func (m *Medium) Radios() []*Radio { return m.radios }
-
 func pairKey(a, b int) [2]int {
 	if a > b {
 		a, b = b, a
 	}
 	return [2]int{a, b}
-}
-
-// SetShadow fixes the symmetric shadowing offset (dB, positive = extra
-// loss) between two radios. Topologies use this to carve walls and floors.
-func (m *Medium) SetShadow(a, b int, db float64) {
-	if m.gain != nil {
-		panic("phy: SetShadow after medium in use")
-	}
-	m.shadow[pairKey(a, b)] = db
 }
 
 // SetBER sets the channel bit error rate on the directed link a->b.
@@ -276,9 +263,6 @@ func (m *Medium) SetBER(a, b int, ber float64) {
 		m.ln1mBER[a*len(m.radios)+b] = math.Log1p(-ber)
 	}
 }
-
-// BER returns the channel bit error rate on the directed link a->b.
-func (m *Medium) BER(a, b int) float64 { return m.ber[[2]int{a, b}] }
 
 // ChannelLossProb returns the probability that a frame of frameBytes total
 // bytes is lost to channel errors on a->b. This is the simulator's ground
@@ -344,13 +328,6 @@ func (m *Medium) SetGainTable(t *GainTable) {
 	m.table = t
 }
 
-// GainTable returns the medium's frozen gain table, freezing the medium
-// if needed. The table is immutable and safe to share across media.
-func (m *Medium) GainTable() *GainTable {
-	m.freeze()
-	return m.table
-}
-
 // freeze builds the gain matrix and the dense per-link mirrors; radios
 // can no longer be added afterwards.
 func (m *Medium) freeze() {
@@ -363,17 +340,9 @@ func (m *Medium) freeze() {
 		for i, r := range m.radios {
 			pos[i] = r.pos
 		}
-		m.table = BuildGainTable(m.cfg, pos, m.shadow)
-	} else {
-		if m.table.n != n {
-			panic(fmt.Sprintf("phy: gain table built for %d radios, medium has %d", m.table.n, n))
-		}
-		if len(m.shadow) > 0 {
-			// Shadows staged via SetShadow would be silently ignored in
-			// favour of the preset table — the builder must fold them
-			// into BuildGainTable instead.
-			panic("phy: SetShadow combined with SetGainTable; bake shadowing into the table")
-		}
+		m.table = BuildGainTable(m.cfg, pos, nil)
+	} else if m.table.n != n {
+		panic(fmt.Sprintf("phy: gain table built for %d radios, medium has %d", m.table.n, n))
 	}
 	m.gain = make([][]float64, n) // non-nil marks the medium frozen
 	for i := range m.gain {
@@ -393,13 +362,6 @@ func (m *Medium) freeze() {
 func (m *Medium) Counters(a, b int) *LinkCounters {
 	m.freeze()
 	return &m.counters[a*len(m.radios)+b]
-}
-
-// ResetCounters clears all link counters (e.g. between experiment phases).
-func (m *Medium) ResetCounters() {
-	for i := range m.counters {
-		m.counters[i] = LinkCounters{}
-	}
 }
 
 // transmission is a frame in flight. Transmissions are pooled on the
@@ -523,9 +485,6 @@ type reception struct {
 
 // ID returns the radio's id (index on the medium).
 func (r *Radio) ID() int { return r.id }
-
-// Pos returns the radio's position.
-func (r *Radio) Pos() Position { return r.pos }
 
 // SetListener attaches the MAC.
 func (r *Radio) SetListener(l Listener) { r.listener = l }

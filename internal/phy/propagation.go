@@ -43,13 +43,6 @@ func (p Propagation) PathLossDB(d, shadowDB float64) float64 {
 	return p.PL0dB + 10*p.Exponent*math.Log10(d) + shadowDB
 }
 
-// RangeFor inverts the model: the distance at which a transmitter at
-// txPowerDBm is received at exactly rxDBm (zero shadowing). Useful for
-// constructing CS/IA/NF geometries.
-func (p Propagation) RangeFor(txPowerDBm, rxDBm float64) float64 {
-	return math.Pow(10, (txPowerDBm-rxDBm-p.PL0dB)/(10*p.Exponent))
-}
-
 // DBmToMW converts dBm to milliwatts.
 func DBmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
 

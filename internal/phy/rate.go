@@ -60,9 +60,6 @@ func (r Rate) String() string {
 	return rates[r].name
 }
 
-// BitsPerSecond returns the nominal modulation rate in bits per second.
-func (r Rate) BitsPerSecond() float64 { return rates[r].bps }
-
 // MinSINRdB returns the SINR, in dB, required to decode a frame sent at r.
 // Higher modulations need cleaner channels, which is what makes capture
 // stronger at 1 Mb/s than at 11 Mb/s in the paper's IA/NF topologies.

@@ -109,9 +109,6 @@ func (a *AdHocProbe) onArrival(pp *pairPayload) {
 	}
 }
 
-// Samples returns the number of complete pairs observed.
-func (a *AdHocProbe) Samples() int { return a.samples }
-
 // EstimateBps returns the Ad Hoc Probe capacity estimate: packet bits over
 // minimum dispersion. Returns 0 before any complete pair arrives.
 func (a *AdHocProbe) EstimateBps() float64 {

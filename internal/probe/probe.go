@@ -92,9 +92,6 @@ func (p *Prober) Stop() {
 	p.timer.Stop()
 }
 
-// Sent returns the number of probes of class c sent so far.
-func (p *Prober) Sent(c Class) int64 { return p.sent[c] }
-
 func (p *Prober) tick() {
 	if !p.running {
 		return

@@ -19,8 +19,8 @@ func TestProberSendsBothClasses(t *testing.T) {
 	p.Start()
 	nw.Sim.Run(10 * sim.Second)
 	p.Stop()
-	if p.Sent(ClassData) < 95 || p.Sent(ClassAck) < 95 {
-		t.Fatalf("sent %d/%d probes", p.Sent(ClassData), p.Sent(ClassAck))
+	if p.sent[ClassData] < 95 || p.sent[ClassAck] < 95 {
+		t.Fatalf("sent %d/%d probes", p.sent[ClassData], p.sent[ClassAck])
 	}
 	for _, c := range []Class{ClassData, ClassAck} {
 		tr := rec.Trace(0, c, 100)
@@ -162,8 +162,8 @@ func TestAdHocProbeTracksNominalOnCleanLink(t *testing.T) {
 	a.Start(nw.Node(1))
 	nw.Sim.Run(15 * sim.Second)
 	a.Stop()
-	if a.Samples() < 150 {
-		t.Fatalf("only %d complete pairs", a.Samples())
+	if a.samples < 150 {
+		t.Fatalf("only %d complete pairs", a.samples)
 	}
 	est := a.EstimateBps()
 	// Min dispersion excludes the mean backoff: estimate sits at or

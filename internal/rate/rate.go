@@ -48,19 +48,6 @@ func NewShaper(s *sim.Sim, n *node.Node, rateBps float64) *Shaper {
 	return sh
 }
 
-// SetRate reconfigures the shaper; takes effect immediately.
-func (sh *Shaper) SetRate(rateBps float64) {
-	sh.fill()
-	sh.rateBps = rateBps
-	sh.drain()
-}
-
-// Rate returns the configured rate in bits/s.
-func (sh *Shaper) Rate() float64 { return sh.rateBps }
-
-// QueueLen returns the number of packets waiting for tokens.
-func (sh *Shaper) QueueLen() int { return len(sh.queue) }
-
 // Send shapes p toward its destination. It reports false when the shaper
 // queue is full and the packet was dropped.
 func (sh *Shaper) Send(p *node.Packet) bool {

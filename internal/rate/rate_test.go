@@ -67,31 +67,8 @@ func TestShaperQueueOverflowDrops(t *testing.T) {
 	if sh.Dropped == 0 {
 		t.Fatal("expected drops from a blocked shaper")
 	}
-	if sh.QueueLen() > 200 {
-		t.Fatalf("queue grew to %d beyond cap", sh.QueueLen())
-	}
-}
-
-func TestSetRateTakesEffect(t *testing.T) {
-	nw, sh, sink := setup(t, 0.2e6)
-	var seq int64
-	var emit func()
-	emit = func() {
-		seq++
-		sh.Send(pkt(seq))
-		if nw.Sim.Now() < 6*sim.Second {
-			nw.Sim.After(2*sim.Millisecond, emit)
-		}
-	}
-	emit()
-	nw.Sim.At(3*sim.Second, func() {
-		sink.Reset()
-		sh.SetRate(2e6)
-	})
-	nw.Sim.Run(6 * sim.Second)
-	got := sink.ThroughputBps(0)
-	if got < 1.6e6 || got > 2.3e6 {
-		t.Fatalf("post-retune throughput = %.2f Mb/s, want ~2", got/1e6)
+	if len(sh.queue) > 200 {
+		t.Fatalf("queue grew to %d beyond cap", len(sh.queue))
 	}
 }
 
@@ -103,10 +80,5 @@ func TestZeroRateBlocks(t *testing.T) {
 	nw.Sim.Run(sim.Second)
 	if sink.Packets(0) != 0 {
 		t.Fatal("zero-rate shaper leaked packets")
-	}
-	sh.SetRate(1e6)
-	nw.Sim.Run(2 * sim.Second)
-	if sink.Packets(0) != 10 {
-		t.Fatalf("after unblocking got %d/10", sink.Packets(0))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"repro/internal/core/capacity"
 	"repro/internal/core/controller"
@@ -38,22 +37,6 @@ type Options struct {
 type sweepPoint struct {
 	names  []string
 	values []float64
-}
-
-func (p sweepPoint) label() string {
-	if len(p.names) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(" [")
-	for i, n := range p.names {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%g", n, p.values[i])
-	}
-	b.WriteString("]")
-	return b.String()
 }
 
 // sweepPoints expands the sweep axes row-major, last axis fastest.

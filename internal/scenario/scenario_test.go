@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -46,7 +47,7 @@ func TestGoldenQuickstartRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("quickstart not registered")
 	}
-	got, err := Marshal(spec)
+	got, err := marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +63,19 @@ func TestGoldenQuickstartRoundTrip(t *testing.T) {
 	}
 }
 
+// marshal renders a spec the way the golden files are written:
+// indented JSON plus a final newline.
+func marshal(s *Spec) ([]byte, error) {
+	b, err := json.MarshalIndent(s, "", "  ")
+	return append(b, '\n'), err
+}
+
 // TestBuiltinsMarshalParseRoundTrip round-trips every registered
-// scenario through Marshal/Parse.
+// scenario through JSON and Parse.
 func TestBuiltinsMarshalParseRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		spec, _ := Lookup(name)
-		b, err := Marshal(spec)
+		b, err := marshal(spec)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
 		}
@@ -85,7 +93,7 @@ func TestBuiltinsMarshalParseRoundTrip(t *testing.T) {
 // the streamed records carry a plan and positive achieved goodput.
 func TestRunQuickstartEndToEnd(t *testing.T) {
 	spec, _ := Lookup("quickstart")
-	mem := sink.NewMemory()
+	mem := new(sink.Memory)
 	if err := runSpec(spec, mem, spec.Seed, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,7 @@ func TestRunSweepJSONLByteIdenticalAcrossWorkerCounts(t *testing.T) {
 // fairness trend: alpha=0 starves the long flow, large alpha feeds it.
 func TestRunFairnessSweep(t *testing.T) {
 	spec, _ := Lookup("fairness")
-	mem := sink.NewMemory()
+	mem := new(sink.Memory)
 	if err := runSpec(spec, mem, spec.Seed, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestRunFairnessSweep(t *testing.T) {
 // TestRunFigureSpec drives the fig10 registry entry through the engine.
 func TestRunFigureSpec(t *testing.T) {
 	spec, _ := Lookup("fig10")
-	mem := sink.NewMemory()
+	mem := new(sink.Memory)
 	var log bytes.Buffer
 	if err := runSpec(spec, mem, 4, &log); err != nil {
 		t.Fatal(err)

@@ -199,13 +199,11 @@ func formatValue(v any) string {
 
 // --- Memory -----------------------------------------------------------
 
-// Memory collects records in order; the sink tests and assertions use it.
+// Memory collects records in order; tests use it. The zero value is
+// ready to use.
 type Memory struct {
 	records []Record
 }
-
-// NewMemory returns an empty in-memory sink.
-func NewMemory() *Memory { return &Memory{} }
 
 // Write appends rec.
 func (m *Memory) Write(rec Record) error {

@@ -256,7 +256,7 @@ func TestDecodeJSONLRejectsMalformed(t *testing.T) {
 }
 
 func TestMemoryCollects(t *testing.T) {
-	m := NewMemory()
+	m := new(Memory)
 	m.Write(rec("a", 0, F("x", 1)))
 	m.Write(rec("a", 1, F("x", 2)))
 	if got := m.Records(); len(got) != 2 || got[1].Cell != 1 {

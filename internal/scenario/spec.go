@@ -218,16 +218,6 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Marshal renders the spec as indented JSON, the round-trip inverse of
-// Parse.
-func Marshal(s *Spec) ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // topologyKinds enumerates the known topology families and whether they
 // accept PHY overrides (position-built ones do).
 var topologyKinds = map[string]bool{
@@ -464,13 +454,4 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Cells returns the sweep size (1 when no sweep is declared).
-func (s *Spec) Cells() int {
-	n := 1
-	for _, ax := range s.Sweep {
-		n *= len(ax.Values)
-	}
-	return n
 }

@@ -74,7 +74,22 @@ func (toyServe) Reduce(recs <-chan sink.Record) exp.Result {
 
 const toyN = 8
 
-func init() { exp.Register(toyServe{n: toyN}) }
+// toyPanic is servetoy with a cell that panics.
+type toyPanic struct{ toyServe }
+
+func (toyPanic) Name() string { return "servepanic" }
+
+func (t toyPanic) RunCell(c exp.Cell) sink.Record {
+	if c.Data.(int) == 2 {
+		panic("cell exploded")
+	}
+	return t.toyServe.RunCell(c)
+}
+
+func init() {
+	exp.Register(toyServe{n: toyN})
+	exp.Register(toyPanic{toyServe{n: toyN}})
+}
 
 // refStream renders the experiment's unsharded JSONL stream — the bytes
 // `meshopt fig <name>` would write to stdout.
@@ -182,7 +197,7 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		t.Error("alias and canonical name map to different keys")
 	}
 	if spec, ok := scenario.Lookup("quickstart"); ok {
-		raw, err := scenario.Marshal(spec)
+		raw, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,6 +584,29 @@ func TestFailedJobRecordsAreRefused(t *testing.T) {
 	}
 }
 
+// TestCellPanicFailsOnlyItsJob: a panicking cell ends its job failed,
+// naming the cell, and the server goes on answering and running jobs.
+func TestCellPanicFailsOnlyItsJob(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), Options{})
+	sr := postJob(t, ts, `{"experiment":"servepanic","seed":1}`)
+	deadline := time.Now().Add(30 * time.Second)
+	st := getStatus(t, ts, sr.ID)
+	for st.State != stateFailed {
+		if st.State == stateDone || time.Now().After(deadline) {
+			t.Fatalf("job state %q, want failed", st.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+		st = getStatus(t, ts, sr.ID)
+	}
+	if !strings.Contains(st.Error, "cell 2 panicked: cell exploded") {
+		t.Fatalf("job error %q does not name the panicking cell", st.Error)
+	}
+	ok := postJob(t, ts, `{"experiment":"servetoy","seed":33}`)
+	if got, _ := getRecords(t, ts, ok.ID, ""); !bytes.Equal(got, refStream(t, "servetoy", 33)) {
+		t.Fatalf("job after the panic streamed %q, want the reference bytes", got)
+	}
+}
+
 // pipeSpawner serves long-lived dist workers in-process over pipes, so
 // sharded jobs run without spawning the test binary.
 type pipeSpawner struct{}
@@ -578,7 +616,7 @@ func (pipeSpawner) Spawn(ctx context.Context, slot int) (*dist.Worker, error) {
 	outR, outW := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		err := dist.ServeWork(inR, outW)
+		err := dist.ServeWork(inR, outW, nil, nil, nil)
 		if err != nil {
 			outW.CloseWithError(err)
 		} else {

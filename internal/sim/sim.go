@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a simulated instant measured in nanoseconds since the start of
@@ -32,9 +31,6 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 )
-
-// Duration converts a standard library duration to simulated time.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Seconds renders t as a floating point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
@@ -108,15 +104,6 @@ func (t *Timer) Stop() bool {
 	return t != nil && t.s != nil && t.slot != noSlot && t.s.cancel(t.slot, t.gen)
 }
 
-// Pending reports whether the timer is still scheduled to fire.
-func (t *Timer) Pending() bool {
-	if t == nil || t.s == nil || t.slot == noSlot {
-		return false
-	}
-	sl := &t.s.slots[t.slot]
-	return sl.gen == t.gen && !sl.dead && sl.queued
-}
-
 // purgeMin is the minimum number of cancelled entries before a purge pass
 // is worth its O(n) sweep.
 const purgeMin = 64
@@ -143,15 +130,14 @@ func TotalFired() uint64 { return totalFired.Load() }
 // Sim is a discrete-event simulator instance. The zero value is not usable;
 // construct with New.
 type Sim struct {
-	now    Time
-	seq    uint64
-	heap   []entry // 4-ary min-heap ordered by entry.before
-	slots  []slot
-	free   []int32 // released slot indices
-	dead   int     // cancelled entries still in the heap
-	stats  Stats
-	rng    *rand.Rand
-	halted bool
+	now   Time
+	seq   uint64
+	heap  []entry // 4-ary min-heap ordered by entry.before
+	slots []slot
+	free  []int32 // released slot indices
+	dead  int     // cancelled entries still in the heap
+	stats Stats
+	rng   *rand.Rand
 }
 
 // New returns a simulator whose random streams derive from seed.
@@ -302,15 +288,11 @@ func (s *Sim) purge() {
 	}
 }
 
-// Halt stops the run loop after the current event returns.
-func (s *Sim) Halt() { s.halted = true }
-
-// Run executes events until the queue drains, until Halt is called, or
-// until the clock passes end. It returns the final simulated time.
+// Run executes events until the queue drains or the clock passes end.
+// It returns the final simulated time.
 func (s *Sim) Run(end Time) Time {
-	s.halted = false
 	fired := s.stats.Fired
-	for len(s.heap) > 0 && !s.halted {
+	for len(s.heap) > 0 {
 		e := s.heap[0]
 		if e.at > end {
 			break
@@ -342,10 +324,3 @@ func (s *Sim) Run(end Time) Time {
 	}
 	return s.now
 }
-
-// Pending returns the number of live events in the queue.
-func (s *Sim) Pending() int { return len(s.heap) - s.dead }
-
-// queueLen reports the raw heap length including cancelled entries; the
-// timer-leak regression test asserts it stays bounded under churn.
-func (s *Sim) queueLen() int { return len(s.heap) }

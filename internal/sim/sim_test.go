@@ -76,23 +76,6 @@ func TestTimerPending(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Millisecond, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run(Second)
-	if count != 3 {
-		t.Fatalf("ran %d events after Halt, want 3", count)
-	}
-}
-
 func TestRunAdvancesClockToEnd(t *testing.T) {
 	s := New(1)
 	end := s.Run(42 * Millisecond)
@@ -604,3 +587,19 @@ func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 		t.Fatalf("Schedule + fire on a warm slab: %v allocs per 8 events, want 0", a)
 	}
 }
+
+// Views of kernel state for the tests: whether a timer is still
+// scheduled, how many live events are queued, and the raw heap length
+// including cancelled entries (which must stay bounded under churn).
+
+func (t *Timer) Pending() bool {
+	if t == nil || t.s == nil || t.slot == noSlot {
+		return false
+	}
+	sl := &t.s.slots[t.slot]
+	return sl.gen == t.gen && !sl.dead && sl.queued
+}
+
+func (s *Sim) Pending() int { return len(s.heap) - s.dead }
+
+func (s *Sim) queueLen() int { return len(s.heap) }

@@ -29,15 +29,6 @@ func NewCDF(samples []float64) *CDF {
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.sorted) }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) by nearest rank.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -198,17 +189,4 @@ func Mean(x []float64) float64 {
 		t += v
 	}
 	return t / float64(len(x))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var se float64
-	for _, v := range x {
-		se += (v - m) * (v - m)
-	}
-	return math.Sqrt(se / float64(len(x)))
 }

@@ -20,7 +20,6 @@ package cache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/phy"
 )
@@ -40,9 +39,8 @@ type Key struct {
 // Pool is a keyed gain-table pool, safe for concurrent use by experiment
 // cells.
 type Pool struct {
-	mu           sync.Mutex
-	tables       map[Key]*phy.GainTable
-	hits, misses atomic.Int64
+	mu     sync.Mutex
+	tables map[Key]*phy.GainTable
 }
 
 // New returns an empty pool.
@@ -60,32 +58,9 @@ func (p *Pool) Get(k Key, build func() *phy.GainTable) *phy.GainTable {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t, ok := p.tables[k]; ok {
-		p.hits.Add(1)
 		return t
 	}
-	p.misses.Add(1)
 	t := build()
 	p.tables[k] = t
 	return t
-}
-
-// Stats reports cache hits and misses since the last Reset.
-func (p *Pool) Stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
-}
-
-// Len returns the number of cached layouts.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.tables)
-}
-
-// Reset drops every cached table and zeroes the counters.
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tables = make(map[Key]*phy.GainTable)
-	p.hits.Store(0)
-	p.misses.Store(0)
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/phy"
@@ -66,27 +67,36 @@ func TestChainAdjacentDecodable(t *testing.T) {
 	}
 }
 
-func TestMesh18Deterministic(t *testing.T) {
-	a, b := Mesh18(5), Mesh18(5)
+// sameLayout reports whether two networks have identical pairwise
+// gains, which are a pure function of node placement and shadowing.
+func sameLayout(a, b *Network) bool {
 	for i := range a.Nodes {
-		ra := a.Medium.Radios()[i].Pos()
-		rb := b.Medium.Radios()[i].Pos()
-		if ra != rb {
-			t.Fatal("Mesh18 layout not deterministic")
+		for j := range a.Nodes {
+			if i != j && a.Medium.GainMW(i, j) != b.Medium.GainMW(i, j) {
+				return false
+			}
 		}
 	}
-	if Mesh18(5).Medium.BER(0, 1) != Mesh18(5).Medium.BER(0, 1) {
-		t.Fatal("BER assignment not deterministic")
+	return true
+}
+
+func TestMesh18Deterministic(t *testing.T) {
+	a, b := Mesh18(5), Mesh18(5)
+	if !sameLayout(a, b) {
+		t.Fatal("Mesh18 layout not deterministic")
+	}
+	for i := range a.Nodes {
+		for j := range a.Nodes {
+			if a.Medium.ChannelLossProb(i, j, 1500) != b.Medium.ChannelLossProb(i, j, 1500) {
+				t.Fatal("BER assignment not deterministic")
+			}
+		}
 	}
 }
 
 func TestMesh18SeededSeparatesLayoutFromSim(t *testing.T) {
-	a := Mesh18Seeded(5, 100)
-	b := Mesh18Seeded(5, 200)
-	for i := range a.Nodes {
-		if a.Medium.Radios()[i].Pos() != b.Medium.Radios()[i].Pos() {
-			t.Fatal("layout changed with sim seed")
-		}
+	if !sameLayout(Mesh18Seeded(5, 100), Mesh18Seeded(5, 200)) {
+		t.Fatal("layout changed with sim seed")
 	}
 }
 
@@ -105,10 +115,11 @@ func TestMesh18LinkQualityDiversity(t *testing.T) {
 			if i == j {
 				continue
 			}
-			switch ber := nw.Medium.BER(i, j); {
-			case ber < 1e-6:
+			// Frame loss from channel errors is monotone in the BER.
+			switch p := nw.Medium.ChannelLossProb(i, j, 1500); {
+			case p < -math.Expm1(8*1500*math.Log1p(-1e-6)):
 				clean++
-			case ber > 1e-5:
+			case p > -math.Expm1(8*1500*math.Log1p(-1e-5)):
 				lossy++
 			}
 		}

@@ -34,8 +34,6 @@ type Replay struct {
 	q      map[Link][]Event
 	cursor map[Link]int
 
-	consulted int // Lost/Outcome calls
-	matched   int // calls answered from the trace
 	diverged  int
 	firstDiag string
 }
@@ -67,7 +65,6 @@ func (r *Replay) Lost(f *phy.Frame, dst int, p float64, rng *rand.Rand) bool {
 // frames the trace does not cover. Broadcast dissemination's relay loop
 // — which draws its coins outside phy — consults this directly.
 func (r *Replay) Outcome(src, dst int, seq int64, kind int, coin bool) bool {
-	r.consulted++
 	l := Link{Src: src, Dst: dst}
 	q, ok := r.q[l]
 	if !ok {
@@ -85,10 +82,8 @@ func (r *Replay) Outcome(src, dst int, seq int64, kind int, coin bool) bool {
 	r.cursor[l] = i + 1
 	switch ev.Out {
 	case OutDelivered:
-		r.matched++
 		return false
 	case OutChannel:
-		r.matched++
 		return true
 	default:
 		// The recording says this frame never reached the channel
@@ -102,14 +97,6 @@ func (r *Replay) Outcome(src, dst int, seq int64, kind int, coin bool) bool {
 		return coin
 	}
 }
-
-// Matched reports how many channel decisions were answered from the
-// trace.
-func (r *Replay) Matched() int { return r.matched }
-
-// Consulted reports how many channel decisions were made while this
-// replay was installed.
-func (r *Replay) Consulted() int { return r.consulted }
 
 // Err reports divergence between the replayed execution and the
 // recorded one: nil means every consulted decision was consistent with

@@ -223,17 +223,6 @@ func (tr Trace) Cells() []int {
 	return cells
 }
 
-// Events counts every recorded decision in the trace.
-func (tr Trace) Events() int {
-	n := 0
-	for _, ct := range tr {
-		for _, l := range ct.order {
-			n += len(ct.byLink[l])
-		}
-	}
-	return n
-}
-
 // Decode rebuilds a Trace from a record stream, keeping only
 // "trace"-series records. Per-link event order and per-cell link order
 // are preserved; the global cross-link decision interleaving is not
@@ -304,19 +293,6 @@ func (s *CaptureSet) Captures() map[int]*CellCapture {
 	out := make(map[int]*CellCapture, len(s.byCell))
 	for cell, c := range s.byCell {
 		out[cell] = c
-	}
-	return out
-}
-
-// Replays returns every carried replay, keyed by cell.
-func (s *CaptureSet) Replays() map[int]*Replay {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]*Replay, len(s.byCell))
-	for cell, c := range s.byCell {
-		if c.replay != nil {
-			out[cell] = c.replay
-		}
 	}
 	return out
 }

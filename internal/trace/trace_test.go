@@ -105,9 +105,6 @@ func TestReplayCursorSemantics(t *testing.T) {
 	if r.Err() == nil {
 		t.Error("divergence not reported")
 	}
-	if r.Matched() != 2 || r.Consulted() != 4 {
-		t.Errorf("matched=%d consulted=%d, want 2/4", r.Matched(), r.Consulted())
-	}
 
 	// An entirely untraced link falls back to the coin, no divergence.
 	r2 := NewReplay(ct)

@@ -54,15 +54,6 @@ func (k *Sink) account(p *node.Packet) {
 	k.packets[p.FlowID]++
 }
 
-// Reset zeroes all counters and restarts the measurement window.
-func (k *Sink) Reset() {
-	k.bytes = make(map[int]int64)
-	k.packets = make(map[int]int64)
-	k.first = make(map[int]sim.Time)
-	k.last = make(map[int]sim.Time)
-	k.started = k.s.Now()
-}
-
 // Bytes returns payload bytes received for a flow.
 func (k *Sink) Bytes(flow int) int64 { return k.bytes[flow] }
 
@@ -163,7 +154,6 @@ type CBR struct {
 	timer   sim.Timer
 	seq     int64
 	sent    int64
-	dropped int64
 }
 
 // NewCBR creates a constant-bit-rate source. rateBps counts payload bits.
@@ -172,12 +162,6 @@ func NewCBR(s *sim.Sim, n *node.Node, flow, dst, payloadBytes int, rateBps float
 	c.timer = s.NewTimer(c.emit)
 	return c
 }
-
-// SetRate retunes the source, taking effect from the next packet.
-func (c *CBR) SetRate(rateBps float64) { c.rate = rateBps }
-
-// Rate returns the configured rate in bits/s.
-func (c *CBR) Rate() float64 { return c.rate }
 
 // Start implements Source.
 func (c *CBR) Start() {
@@ -197,15 +181,13 @@ func (c *CBR) Stop() {
 // SentPackets implements Source.
 func (c *CBR) SentPackets() int64 { return c.sent }
 
-// Dropped returns packets rejected by the local queue.
-func (c *CBR) Dropped() int64 { return c.dropped }
-
 func (c *CBR) emit() {
 	if !c.running {
 		return
 	}
 	if c.rate <= 0 {
-		// Re-check periodically so SetRate can revive the flow.
+		// Idle. The periodic re-check is part of the simulated event
+		// schedule that pinned event counts and records depend on.
 		c.timer.Reset(100 * sim.Millisecond)
 		return
 	}
@@ -220,8 +202,6 @@ func (c *CBR) emit() {
 	}
 	if c.n.Send(p) {
 		c.sent++
-	} else {
-		c.dropped++
 	}
 	interval := sim.Time(float64(8*c.bytes) / c.rate * 1e9)
 	if interval < sim.Microsecond {

@@ -36,40 +36,15 @@ func TestCBRRateAccuracy(t *testing.T) {
 	}
 }
 
-func TestCBRSetRateDynamic(t *testing.T) {
-	s, nodes := pair(t)
-	sink := NewSink(s, nodes[1])
-	src := NewCBR(s, nodes[0], 0, 1, 1000, 1e6)
-	src.Start()
-	s.At(2*sim.Second, func() {
-		sink.Reset()
-		src.SetRate(3e6)
-	})
-	s.Run(5 * sim.Second)
-	src.Stop()
-	got := sink.ThroughputBps(0)
-	if math.Abs(got-3e6)/3e6 > 0.08 {
-		t.Fatalf("retuned CBR throughput %.2f Mb/s, want 3", got/1e6)
-	}
-	if src.Rate() != 3e6 {
-		t.Fatal("Rate() not updated")
-	}
-}
-
-func TestCBRZeroRateIdlesAndRevives(t *testing.T) {
+func TestCBRZeroRateIdles(t *testing.T) {
 	s, nodes := pair(t)
 	sink := NewSink(s, nodes[1])
 	src := NewCBR(s, nodes[0], 0, 1, 1000, 0)
 	src.Start()
 	s.Run(sim.Second)
-	if sink.Packets(0) != 0 {
-		t.Fatal("zero-rate CBR emitted packets")
-	}
-	src.SetRate(1e6)
-	s.Run(s.Now() + 2*sim.Second)
 	src.Stop()
-	if sink.Packets(0) == 0 {
-		t.Fatal("CBR did not revive after SetRate")
+	if sink.Packets(0) != 0 || src.SentPackets() != 0 {
+		t.Fatal("zero-rate CBR emitted packets")
 	}
 }
 
@@ -116,37 +91,5 @@ func TestSinkPerFlowAccounting(t *testing.T) {
 	}
 	if sink.Bytes(2) <= sink.Bytes(1) {
 		t.Fatal("per-flow byte accounting mixed up")
-	}
-}
-
-func TestSinkReset(t *testing.T) {
-	s, nodes := pair(t)
-	sink := NewSink(s, nodes[1])
-	src := NewCBR(s, nodes[0], 0, 1, 1000, 1e6)
-	src.Start()
-	s.Run(2 * sim.Second)
-	sink.Reset()
-	if sink.Packets(0) != 0 || sink.Bytes(0) != 0 {
-		t.Fatal("Reset did not clear counters")
-	}
-	s.Run(s.Now() + sim.Second)
-	src.Stop()
-	if sink.Packets(0) == 0 {
-		t.Fatal("sink stopped accounting after Reset")
-	}
-}
-
-func TestCBRCountsDrops(t *testing.T) {
-	s, nodes := pair(t)
-	nodes[0].MAC().QueueCap = 2
-	src := NewCBR(s, nodes[0], 0, 1, DefaultPayload, 50e6) // far over capacity
-	src.Start()
-	s.Run(sim.Second)
-	src.Stop()
-	if src.Dropped() == 0 {
-		t.Fatal("oversubscribed CBR recorded no drops")
-	}
-	if src.SentPackets() == 0 {
-		t.Fatal("no packets sent at all")
 	}
 }

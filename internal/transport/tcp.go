@@ -129,9 +129,6 @@ func (f *Flow) GoodputBps() float64 {
 	return float64(f.DeliveredSegs) * MSS * 8 / dur
 }
 
-// Cwnd returns the current congestion window in segments.
-func (f *Flow) Cwnd() float64 { return f.cwnd }
-
 func (f *Flow) inFlight() int64 { return f.nextSeq - f.sndUna }
 
 func (f *Flow) trySend() {

@@ -8,7 +8,8 @@
 #   path that already exists is refused for the same reason.
 #
 # The JSON maps benchmark name -> {ns_per_op, bytes_per_op, allocs_per_op},
-# taking the fastest of -count=3 runs (the usual noise-robust choice).
+# plus events_per_op for benchmarks that report simulator events, taking
+# the fastest of -count=3 runs (the usual noise-robust choice).
 # A leading "_env" object records the machine (GOMAXPROCS, CPU model, go
 # version) so cross-snapshot noise — e.g. container throttling between
 # PRs — is diagnosable from the snapshots alone.
@@ -42,22 +43,24 @@ awk '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""
+    ns = ""; bytes = ""; allocs = ""; events = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns = $i
         if ($(i+1) == "B/op")      bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
+        if ($(i+1) == "events/op") events = $i
     }
     if (ns == "") next
     if (!(name in best) || ns + 0 < best[name] + 0) {
         best[name] = ns
         bbytes[name] = bytes
         ballocs[name] = allocs
+        bevents[name] = events
     }
 }
 END {
     for (name in best)
-        printf "%s\t%s\t%s\t%s\n", name, best[name], bbytes[name], ballocs[name]
+        printf "%s\t%s\t%s\t%s\t%s\n", name, best[name], bbytes[name], ballocs[name], bevents[name]
 }' "$RAW" | sort | awk -F'\t' \
     -v go_version="$GO_VERSION" -v goos_arch="$GOOS_ARCH" \
     -v cpu_model="$CPU_MODEL" -v maxprocs="$MAXPROCS" '
@@ -72,6 +75,7 @@ BEGIN {
     printf "  \"%s\": {\"ns_per_op\": %s", $1, $2
     if ($3 != "") printf ", \"bytes_per_op\": %s", $3
     if ($4 != "") printf ", \"allocs_per_op\": %s", $4
+    if ($5 != "") printf ", \"events_per_op\": %s", $5
     printf "}"
 }
 END { printf "\n}\n" }' > "$OUT"
