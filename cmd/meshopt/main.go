@@ -49,7 +49,7 @@
 // requests, amortizing startup and warm caches across dispatches. Shard
 // streams are merged live in cell order; completed shards checkpoint
 // into the run directory, failed workers are retried with bounded,
-// jittered backoff (`-backoff`, `-backoff-cap`, `-jitter`), a stalled
+// jittered backoff (`-backoff`), a stalled
 // shard can be stolen to a free slot (`-steal-after`), Ctrl-C stops the
 // run at the next cell boundary, and re-running the same command
 // resumes the run, re-dispatching only missing or invalid shards.
@@ -472,9 +472,7 @@ func runCoord(args []string) int {
 	dir := fs.String("dir", "", "run directory for checkpoints and the merged output (required)")
 	retries := fs.Int("retries", 3, "dispatch attempts per shard before the run gives up (>= 1)")
 	timeout := fs.Duration("timeout", 0, "per-attempt timeout (0 = none); set for remote pools where a wedged transport would hold its slot forever")
-	backoff := fs.Duration("backoff", 200*time.Millisecond, "base retry delay; attempt n waits n×backoff")
-	backoffCap := fs.Duration("backoff-cap", 0, "maximum retry delay (0 = 5×backoff)")
-	jitter := fs.Float64("jitter", 0, "randomize each retry delay downward by up to this fraction (0..1, deterministic per job seed)")
+	backoff := fs.Duration("backoff", 200*time.Millisecond, "base retry delay; attempt n waits n×backoff, capped at 5×backoff and shortened by up to half (deterministic per job seed)")
 	stealAfter := fs.Duration("steal-after", 0, "work stealing: kill and re-dispatch the shard gating the merge frontier after it stalls this long with a free slot available (0 = off)")
 	out := fs.String("o", "", "also copy the merged records to this file")
 	tracePath := fs.String("trace", "", "write an execution span capture to this file (.json = Chrome trace-event, .jsonl = span log; see `meshopt report`)")
@@ -531,8 +529,6 @@ func runCoord(args []string) int {
 		MaxAttempts:    *retries,
 		AttemptTimeout: *timeout,
 		Backoff:        *backoff,
-		BackoffCap:     *backoffCap,
-		Jitter:         *jitter,
 		StealAfter:     *stealAfter,
 		Logger:         logger,
 	}
@@ -545,7 +541,7 @@ func runCoord(args []string) int {
 	if *watch {
 		// The progress line replaces the shard log (both write stderr;
 		// interleaving them would shred the \r rendering). Progress is
-		// called under the merge lock, so rendering is throttled.
+		// called on the coordinator loop, so rendering is throttled.
 		o.Logger = obs.Discard()
 		var lastRender time.Time
 		o.Progress = func(p dist.Progress) {

@@ -4,17 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -37,17 +36,11 @@ type Options struct {
 	// re-dispatches do not count against it (they are bounded
 	// separately, by the same number).
 	MaxAttempts int
-	// Backoff is the base retry delay (default 200ms); attempt n waits
-	// n×Backoff, capped at BackoffCap.
+	// Backoff is the base retry delay (default 200ms): attempt n waits
+	// n×Backoff, capped at 5×Backoff and shortened by up to half by a
+	// hash of (job seed, shard, attempt) — reproducible, but spread so
+	// shards that failed together do not retry in lockstep.
 	Backoff time.Duration
-	// BackoffCap caps the retry delay; 0 means 5×Backoff.
-	BackoffCap time.Duration
-	// Jitter randomizes each retry delay downward by up to this
-	// fraction (0..1), so a pool of shards that failed together does
-	// not retry in lockstep. The jitter is a deterministic hash of
-	// (job seed, shard, attempt): reproducible for a given job, spread
-	// across shards.
-	Jitter float64
 	// AttemptTimeout bounds one shard dispatch; 0 means no bound. Set
 	// it for remote pools where a wedged transport would otherwise hold
 	// its slot forever (the hang is then killed and retried like any
@@ -55,11 +48,10 @@ type Options struct {
 	AttemptTimeout time.Duration
 	// StealAfter enables work stealing: when the merge frontier has not
 	// advanced for this long and a worker slot is free, the attempt
-	// serving the frontier's shard is killed and the whole residue
-	// class re-dispatched. The thief re-streams the class from cell 0;
-	// the prefix the victim already merged is verified against the
-	// running hash and skipped, so a steal can never change the merged
-	// bytes. 0 disables stealing.
+	// serving the frontier's shard is killed and the shard re-dispatched
+	// from the frontier cell; the lines the victim already merged are
+	// verified and skipped, so a steal can never change the merged bytes.
+	// 0 disables stealing.
 	StealAfter time.Duration
 	// Spawner launches workers; nil uses SelfSpawner (local `work`
 	// subprocesses of this binary). Workers are long-lived: each slot's
@@ -75,10 +67,9 @@ type Options struct {
 	// granularity so a consumer (the serve layer's record endpoint, a
 	// progress UI) can tail the run while late shards are still working.
 	Stream io.Writer
-	// Progress, when set, observes merge progress after every record
-	// push and shard completion. It is called under the coordinator's
-	// merge lock: keep it fast and non-blocking (throttle on the caller
-	// side if rendering is expensive).
+	// Progress, when set, observes merge progress after every merged
+	// batch of records and shard completion, on the coordinator's loop
+	// goroutine that every worker stream waits on: keep it fast.
 	Progress func(Progress)
 
 	// onShardDone, when set, observes each shard checkpoint as it is
@@ -107,37 +98,29 @@ type Report struct {
 	Result   exp.Result
 }
 
-// fatalError marks a failure no retry can fix (a determinism violation:
-// a retried worker reproduced different bytes than its predecessor).
-type fatalError struct{ error }
+// errFatal marks a failure no retry can fix, such as a determinism
+// violation: a retried worker reproduced different bytes than its
+// predecessor.
+var errFatal = errors.New("not retryable")
 
-func (e fatalError) Unwrap() error { return e.error }
-
-// errStolen is the cancellation cause the steal monitor injects into a
-// stalled attempt; the dispatch loop re-dispatches immediately (no
-// backoff) instead of counting it as a failed attempt.
+// errStolen is why the loop kills a stalled attempt: its shard is then
+// re-dispatched at once, not counted as a failed attempt.
 var errStolen = errors.New("dist: attempt stolen (merge frontier stalled)")
 
-// retryDelay is the bounded, jittered retry schedule: attempt n waits
-// n×base capped at cap, shortened by up to jitter×delay using a
-// deterministic hash of (seed, shard, attempt) — reproducible, but
-// decorrelated across shards.
-func retryDelay(base, cap time.Duration, jitter float64, seed int64, shard, attempt int) time.Duration {
-	if cap <= 0 {
-		cap = 5 * base
-	}
-	d := time.Duration(attempt) * base
-	if d > cap {
-		d = cap
-	}
-	if jitter > 0 {
-		if jitter > 1 {
-			jitter = 1
-		}
-		u := float64(fault.Mix64(uint64(seed), uint64(shard), uint64(attempt))>>11) / (1 << 53)
-		d = time.Duration(float64(d) * (1 - jitter*u))
-	}
-	return d
+// The fixed retry policy: attempt n waits n×base capped at
+// maxBackoff×base, shortened by up to retryJitter of itself.
+const (
+	maxBackoff  = 5
+	retryJitter = 0.5
+)
+
+// retryDelay is the retry schedule with its jitter fraction as a
+// parameter. The jitter is a deterministic hash of (seed, shard,
+// attempt): reproducible, but decorrelated across shards.
+func retryDelay(base time.Duration, jitter float64, seed int64, shard, attempt int) time.Duration {
+	d := time.Duration(min(attempt, maxBackoff)) * base
+	u := float64(fault.Mix64(uint64(seed), uint64(shard), uint64(attempt))>>11) / (1 << 53)
+	return time.Duration(float64(d) * (1 - jitter*u))
 }
 
 // Run executes (or resumes) a sharded experiment run in dir. It
@@ -187,16 +170,36 @@ func Run(ctx context.Context, job Job, dir string, o Options) (*Report, error) {
 	}
 
 	rep := &Report{Cells: cells, Attempts: make([]int, job.Shards), Steals: make([]int, job.Shards)}
-	var pending []int
-	for i := 0; i < job.Shards; i++ {
+	r := &run{
+		job:     job,
+		dir:     dir,
+		o:       o,
+		sp:      span.FromContext(ctx),
+		rep:     rep,
+		replays: make(map[int]*bufio.Scanner),
+		shards:  make([]shardRun, job.Shards),
+		slots:   make([]*worker, o.Slots),
+		events:  make(chan *attempt),
+	}
+	for i := range r.shards {
 		if n, _, _, ok := sink.ValidateLog(shardPath(dir, i)); ok {
+			// A checkpointed shard replays lazily, read only as the merge
+			// frontier demands its cells, so it stays on disk instead of in
+			// the merger's queues.
+			f, err := os.Open(shardPath(dir, i))
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			r.replays[i] = sink.NewLineScanner(f)
 			o.Logger.Info("reusing checkpoint", "shard", i, "shards", job.Shards, "records", n)
 			rep.Reused = append(rep.Reused, i)
-		} else {
-			pending = append(pending, i)
+			continue
 		}
+		rep.Ran = append(rep.Ran, i)
+		r.shards[i] = shardRun{queued: true, attempt: 1, st: shardState{curCell: -1}}
 	}
-	rep.Ran = append(rep.Ran, pending...)
+	r.shardsDone = len(rep.Reused)
 
 	mergedPart := filepath.Join(dir, "merged.jsonl.part")
 	mergedF, err := os.Create(mergedPart)
@@ -209,154 +212,26 @@ func Run(ctx context.Context, job Job, dir string, o Options) (*Report, error) {
 	if o.Stream != nil {
 		mergedOut = io.MultiWriter(mergedF, o.Stream)
 	}
-	merger := exp.NewMerger(mergedOut, job.Shards, e)
+	r.merger = exp.NewMerger(mergedOut, job.Shards, e)
 	if o.Stream != nil {
-		merger.AutoFlush(true)
-	}
-	r := &run{
-		job:        job,
-		dir:        dir,
-		o:          o,
-		sp:         span.FromContext(ctx),
-		cells:      cells,
-		merger:     merger,
-		states:     make([]*shardState, job.Shards),
-		replays:    make(map[int]*replayCursor),
-		cancels:    make([]context.CancelCauseFunc, job.Shards),
-		shardsDone: len(rep.Reused),
-		pool: &workerPool{
-			ctx:     ctx,
-			spawner: o.Spawner,
-			log:     o.Logger,
-			slots:   make([]*poolWorker, o.Slots),
-		},
-	}
-	for i := range r.states {
-		r.states[i] = newShardState()
+		r.merger.AutoFlush(true)
 	}
 	defer r.merger.Abort() // no-op after a successful Finish
-	defer r.closeReplays()
-	defer r.pool.close()
 
-	// Checkpointed shards replay lazily: each file is opened as a
-	// cursor and read only as the merge frontier demands its cells, so
-	// a resume keeps checkpointed data on disk instead of buffering
-	// whole shards in the merger's queues.
-	for _, i := range rep.Reused {
-		f, err := os.Open(shardPath(dir, i))
-		if err != nil {
-			return nil, err
-		}
-		r.replays[i] = &replayCursor{f: f, sc: sink.NewLineScanner(f)}
-	}
-	r.mu.Lock()
 	err = r.pump()
 	r.report()
-	r.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("dist: replaying checkpointed shards: %w", err)
 	}
 
-	// Dispatch the missing shards over the worker slots; each shard's
-	// goroutine owns all of that shard's attempts, so a shard's stream
-	// state is never touched concurrently.
-	slots := make(chan int, o.Slots)
-	for s := 0; s < o.Slots; s++ {
-		slots <- s
-	}
-	if o.StealAfter > 0 && len(pending) > 0 {
-		stopSteal := make(chan struct{})
-		defer close(stopSteal)
-		go r.stealLoop(stopSteal, slots)
-	}
-	var (
-		wg       sync.WaitGroup
-		failMu   sync.Mutex
-		failures []error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		failures = append(failures, err)
-		failMu.Unlock()
-	}
-	for _, shard := range pending {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			var lastErr error
-			attempt, steals := 1, 0
-			fromCell := 0
-			for attempt <= o.MaxAttempts {
-				var slot int
-				select {
-				case slot = <-slots:
-				case <-ctx.Done():
-					fail(fmt.Errorf("shard %d/%d: %w", shard, job.Shards, ctx.Err()))
-					return
-				}
-				rep.Attempts[shard]++
-				err := r.attempt(ctx, shard, slot, rep.Attempts[shard], fromCell)
-				slots <- slot
-				if err == nil {
-					return
-				}
-				lastErr = err
-				fromCell = 0
-				if errors.Is(err, errStolen) && steals < o.MaxAttempts {
-					// A steal is not a worker failure: re-dispatch the
-					// residue class immediately, without burning an
-					// attempt or backing off. Bounded so a shard that
-					// keeps stalling cannot steal forever. The thief is
-					// suffix-dispatched from the victim's merge frontier
-					// (this goroutine owns the shard's state between
-					// attempts, so the read is race-free); the frontier
-					// cell's merged lines are verified and skipped, the
-					// earlier cells come from the checkpoint part file.
-					steals++
-					rep.Steals[shard]++
-					metSteals.Inc()
-					if st := r.states[shard]; st.curCell > 0 {
-						fromCell = st.curCell
-					}
-					o.Logger.Info("stalled attempt killed, re-dispatching",
-						"shard", shard, "shards", job.Shards, "from_cell", fromCell, "steal", steals)
-					continue
-				}
-				o.Logger.Warn("attempt failed",
-					"shard", shard, "shards", job.Shards, "attempt", attempt, "err", err)
-				var fe fatalError
-				if ctx.Err() != nil || errors.As(err, &fe) {
-					break
-				}
-				attempt++
-				metRetries.Inc()
-				if attempt <= o.MaxAttempts {
-					d := retryDelay(o.Backoff, o.BackoffCap, o.Jitter, job.Seed, shard, attempt-1)
-					metBackoffWaits.Inc()
-					metBackoffSeconds.Add(d.Seconds())
-					o.Logger.Debug("retry backoff", "shard", shard, "attempt", attempt, "delay", d)
-					bsp := r.sp.Child("backoff",
-						span.Int("shard", shard), span.Int("attempt", attempt), span.Str("delay", d.String()))
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-					}
-					bsp.End()
-				}
-			}
-			fail(fmt.Errorf("shard %d/%d failed after %d attempt(s): %w", shard, job.Shards, rep.Attempts[shard], lastErr))
-		}(shard)
-	}
-	wg.Wait()
-	rep.Spawns = r.pool.spawnCount()
-
-	if len(failures) > 0 {
+	r.loop(ctx)
+	if len(r.failures) > 0 {
 		return rep, fmt.Errorf("dist: run incomplete (completed shards stay checkpointed in %s; rerun with the same directory to resume): %w",
-			dir, errors.Join(failures...))
+			dir, errors.Join(r.failures...))
 	}
 
 	reduceSpan := r.sp.Child("reduce")
-	res, err := r.finishMerge(cells)
+	res, err := r.merger.Finish(cells)
 	reduceSpan.End()
 	if err != nil {
 		return rep, err
@@ -371,255 +246,432 @@ func Run(ctx context.Context, job Job, dir string, o Options) (*Report, error) {
 	return rep, nil
 }
 
-// run is the shared state of one coordinator invocation.
+// run is the state of one coordinator invocation. All of it belongs to
+// the loop goroutine; a worker's reader goroutine touches only the
+// attempt the loop hands it and the worker's output stream.
 type run struct {
 	job        Job
 	dir        string
 	o          Options
 	sp         *span.Span // trace parent from Run's ctx; nil when untraced
-	cells      int
-	mu         sync.Mutex // serializes merger + replay access across shard goroutines
+	rep        *Report
 	merger     *exp.Merger
-	states     []*shardState
-	replays    map[int]*replayCursor
-	shardsDone int // checkpointed shards (reused + completed this run)
-	pool       *workerPool
+	replays    map[int]*bufio.Scanner // checkpointed shards not yet merged
+	shardsDone int                    // checkpointed shards (reused + completed this run)
 
-	cancelMu sync.Mutex
-	cancels  []context.CancelCauseFunc // live attempt cancel per shard (steal hook)
+	shards   []shardRun
+	slots    []*worker     // live worker per slot, nil when empty
+	events   chan *attempt // from the readers: a line to merge, or an attempt's end
+	readers  sync.WaitGroup
+	failures []error
+
+	frontier    int       // merge frontier at the last report
+	lastAdvance time.Time // frontier last moved, or its shard was dispatched
 }
 
-// poolWorker is one live worker bound to a slot, with its persistent
-// line scanner (the scanner owns read buffering, so it must survive
-// across the requests the worker serves).
-type poolWorker struct {
-	w  *Worker
-	sc *bufio.Scanner
+// shardRun is the loop's scheduling state for one shard.
+type shardRun struct {
+	queued   bool      // waiting for a slot
+	readyAt  time.Time // end of the retry backoff
+	backoff  *span.Span
+	attempt  int // failed attempts + 1, bounded by MaxAttempts
+	fromCell int // where a steal's thief resumes
+	st       shardState
 }
 
-// workerPool keeps one long-lived worker per slot, spawned lazily and
-// kept across dispatches. Any failure retires the slot's worker (kill +
-// reap); the next dispatch on that slot spawns a fresh one.
-type workerPool struct {
-	ctx     context.Context
-	spawner Spawner
-	log     *slog.Logger
-	mu      sync.Mutex
-	slots   []*poolWorker
-	spawns  int
+// shardState is how much of a shard's deterministic stream has been
+// merged, across its attempts: a retry (or a steal's thief) re-produces
+// the same bytes, so its first lines are verified against the merged
+// prefix and skipped. A steal's thief resumes at the current cell, from
+// the snapshot of where that cell begins. An attempt merges each line
+// before logging it, and tallies what a failed write left out, so once
+// its prefix is verified the log's own count and hash are the merged
+// stream's: no separate hash is kept.
+type shardState struct {
+	pushed int    // lines merged
+	sum    []byte // sha256 over the merged lines ('\n' included)
+
+	curCell        int    // cell of the last merged line, -1 before the first
+	cellStart      int    // merged-line count where curCell begins
+	cellStartBytes int64  // byte offset where curCell begins
+	cellStartSum   []byte // sum at cellStart
 }
 
-// acquire returns the slot's live worker, spawning one if the slot is
-// empty; spawned reports whether this call spawned (so the dispatch can
-// attribute the spawn cost to a trace span). A freshly spawned worker's
-// first output line is its #ready heartbeat; a pooled worker's stream is
-// positioned just before the #ready it wrote after its previous request
-// — either way the next line the caller reads is #ready.
-func (p *workerPool) acquire(slot int) (pw *poolWorker, spawned bool, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pw := p.slots[slot]; pw != nil {
-		return pw, false, nil
-	}
-	w, err := p.spawner.Spawn(p.ctx, slot)
-	if err != nil {
-		return nil, false, err
-	}
-	p.spawns++
-	metSpawns.Inc()
-	p.log.Info("spawned worker", "slot", slot, "spawns", p.spawns)
-	pw = &poolWorker{w: w, sc: sink.NewLineScanner(w.Out)}
-	p.slots[slot] = pw
-	return pw, true, nil
+// worker is one live worker bound to a slot. Its reader goroutine (serve)
+// owns the output stream; the loop owns the rest.
+type worker struct {
+	slot     int
+	w        *Worker
+	sc       *bufio.Scanner // persistent: the scanner owns read buffering
+	assign   chan *attempt  // loop → reader; closed to shut the worker down
+	reply    chan struct{}  // loop → reader: cur.lines are merged (see cur.cells, cur.err)
+	more     bool           // the scanner holds another line (reader-owned)
+	cur      *attempt       // in flight, nil when idle
+	deadline time.Time      // AttemptTimeout expiry of cur
+	cause    error          // why the loop killed the worker, nil if it did not
 }
 
-// retire kills and reaps the slot's worker if it is still pw (idempotent
-// per worker generation: watchdogs and error paths may race). It returns
-// the reaped worker's exit error, or nil if pw was already retired.
-func (p *workerPool) retire(slot int, pw *poolWorker) error {
-	p.mu.Lock()
-	if p.slots[slot] != pw {
-		p.mu.Unlock()
-		return nil
-	}
-	p.slots[slot] = nil
-	p.mu.Unlock()
-	pw.w.Kill()
-	pw.w.In.Close()
-	pw.w.Out.Close()
-	return pw.w.Wait()
+// attempt is one dispatch of a shard, passed between the loop and the
+// worker's reader: the loop fills in the request, the reader sends it
+// back with each batch of record lines to merge (waiting on wk.reply)
+// and, with no lines, once more with the outcome.
+type attempt struct {
+	wk                 *worker
+	shard, n, fromCell int
+	span               *span.Span
+	lines              [][]byte   // record lines to merge, in stream order
+	cells              []int      // the cells of the lines the loop merged
+	st                 shardState // merge progress: before, then after the attempt
+	done               bool       // the worker sent its completion marker
+	err, waitErr       error      // waitErr: exit status of a worker reaped after err
 }
 
-// close shuts the pool down: close every live worker's stdin (the clean
-// shutdown signal), kill as a backstop, and reap.
-func (p *workerPool) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for slot, pw := range p.slots {
-		if pw == nil {
-			continue
-		}
-		p.slots[slot] = nil
-		pw.w.In.Close()
-		pw.w.Kill()
-		pw.w.Out.Close()
-		pw.w.Wait()
-	}
-}
-
-func (p *workerPool) spawnCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.spawns
-}
-
-// setCancel publishes (or clears) the live attempt's cancel for a shard
-// so the steal monitor can kill it.
-func (r *run) setCancel(shard int, c context.CancelCauseFunc) {
-	r.cancelMu.Lock()
-	r.cancels[shard] = c
-	r.cancelMu.Unlock()
-}
-
-func (r *run) getCancel(shard int) context.CancelCauseFunc {
-	r.cancelMu.Lock()
-	defer r.cancelMu.Unlock()
-	return r.cancels[shard]
-}
-
-// liveAttempts counts attempts currently in flight.
-func (r *run) liveAttempts() int {
-	r.cancelMu.Lock()
-	defer r.cancelMu.Unlock()
-	n := 0
-	for _, c := range r.cancels {
-		if c != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// stealLoop watches the merge frontier; when it has not advanced for
-// StealAfter and a worker slot is free, the attempt serving the
-// frontier's shard is cancelled with errStolen, which kills its worker
-// and triggers an immediate re-dispatch of the residue class.
-func (r *run) stealLoop(stop <-chan struct{}, slots chan int) {
-	period := r.o.StealAfter / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	last, lastAdvance := -1, time.Now()
+// loop is the coordinator: the one goroutine that owns all run state. It
+// reacts to reader events, to its one wake timer (backoff expiry, attempt
+// deadlines, the steal check) and to ctx, and dispatches queued shards in
+// index order — shard 0, which owns cell 0, first. It returns once every
+// shard has completed or given up and every worker has been reaped.
+func (r *run) loop(ctx context.Context) {
+	wake := time.NewTimer(time.Hour)
+	defer wake.Stop()
+	r.lastAdvance = time.Now()
+	cancelled := ctx.Done()
 	for {
+		now := time.Now()
+		r.dispatch(ctx, now)
+		next, busy := r.timers(now)
+		if !busy {
+			break
+		}
+		if !next.IsZero() {
+			wake.Reset(next.Sub(now)) // a stale wake is harmless
+		}
 		select {
-		case <-stop:
+		case a := <-r.events:
+			r.handle(ctx, a)
+		case <-wake.C:
+		case <-cancelled:
+			// Kill every attempt in flight; dispatch gives the queued shards
+			// up, the killed attempts' ends theirs.
+			cancelled = nil
+			for _, wk := range r.slots {
+				if wk != nil && wk.cur != nil && wk.cause == nil {
+					r.kill(wk, ctx.Err())
+				}
+			}
+		}
+	}
+	for _, wk := range r.slots {
+		if wk != nil {
+			close(wk.assign) // its reader reaps the idle worker
+		}
+	}
+	r.readers.Wait()
+}
+
+// timers acts on every due timer — a backoff ends, an attempt past its
+// deadline is killed, a stalled frontier is stolen — and reports when
+// the next is due (zero if none) and whether any shard is queued or in
+// flight.
+func (r *run) timers(now time.Time) (next time.Time, busy bool) {
+	due := func(t time.Time) bool {
+		if t.After(now) && (next.IsZero() || t.Before(next)) {
+			next = t
+		}
+		return !t.After(now)
+	}
+	for i := range r.shards {
+		if sh := &r.shards[i]; sh.queued {
+			busy = true
+			if due(sh.readyAt) {
+				sh.backoff.End()
+			}
+		}
+	}
+	for _, wk := range r.slots {
+		if wk != nil && wk.cur != nil {
+			busy = true
+			if wk.cause == nil && !wk.deadline.IsZero() && due(wk.deadline) {
+				r.kill(wk, context.DeadlineExceeded)
+			}
+		}
+	}
+	if busy && r.o.StealAfter > 0 && due(r.lastAdvance.Add(r.o.StealAfter)) {
+		r.steal(now)
+	}
+	return next, busy
+}
+
+// dispatch starts queued shards whose backoff is over on free slots, in
+// index order, spawning an empty slot's worker and its reader goroutine.
+// Once the run is cancelled it gives every queued shard up instead.
+func (r *run) dispatch(ctx context.Context, now time.Time) {
+	for shard := range r.shards {
+		sh := &r.shards[shard]
+		if sh.queued && ctx.Err() != nil {
+			sh.queued = false
+			sh.backoff.End()
+			r.failures = append(r.failures, fmt.Errorf("shard %d/%d: %w", shard, r.job.Shards, ctx.Err()))
+		}
+		if !sh.queued || sh.readyAt.After(now) {
+			continue
+		}
+		slot := slices.IndexFunc(r.slots, func(wk *worker) bool { return wk == nil || wk.cur == nil })
+		if slot < 0 {
 			return
-		case <-tick.C:
 		}
-		r.mu.Lock()
-		f := r.merger.Frontier()
-		r.mu.Unlock()
-		if f != last {
-			last, lastAdvance = f, time.Now()
-			continue
+		sh.queued = false
+		sh.backoff.End()
+		r.rep.Attempts[shard]++
+		n := r.rep.Attempts[shard]
+		metDispatches.Inc()
+		r.o.Logger.Debug("dispatch",
+			"shard", shard, "shards", r.job.Shards, "slot", slot, "attempt", n, "from_cell", sh.fromCell)
+		dsp := r.sp.Child("dispatch", span.Int("shard", shard), span.Int("slot", slot),
+			span.Int("attempt", n), span.Int("from_cell", sh.fromCell))
+		wk := r.slots[slot]
+		if wk == nil {
+			spawnAt := time.Now()
+			w, err := r.o.Spawner.Spawn(ctx, slot)
+			if err != nil {
+				dsp.End()
+				r.failed(ctx, shard, err)
+				r.dispatch(ctx, now) // the retry may be due at once
+				return
+			}
+			r.rep.Spawns++
+			metSpawns.Inc()
+			r.o.Logger.Info("spawned worker", "slot", slot, "spawns", r.rep.Spawns)
+			dsp.ChildAt(spawnAt, "spawn").End()
+			wk = &worker{slot: slot, w: w, sc: sink.NewLineScanner(w.Out),
+				assign: make(chan *attempt, 1), reply: make(chan struct{}, 1)}
+			wk.sc.Split(wk.split)
+			r.slots[slot] = wk
+			r.readers.Add(1)
+			go r.serve(wk)
 		}
-		if f >= r.cells || time.Since(lastAdvance) < r.o.StealAfter {
-			continue
+		wk.cur = &attempt{wk: wk, shard: shard, n: n, fromCell: sh.fromCell, span: dsp, st: sh.st}
+		if r.o.AttemptTimeout > 0 {
+			wk.deadline = time.Now().Add(r.o.AttemptTimeout)
 		}
-		if len(slots) == 0 && r.liveAttempts() > 1 {
-			// No free slot and other shards are using them: a steal
-			// would just queue behind healthy work. When the stalled
-			// attempt is the only one left, its own slot frees the
-			// moment it is killed, so stealing is always productive.
-			continue
+		if shard == r.frontier%r.job.Shards {
+			r.lastAdvance = now // a fresh attempt gets a full stall window
 		}
-		shard := f % r.job.Shards
-		cancel := r.getCancel(shard)
-		if cancel == nil {
-			continue // frontier shard not dispatched right now
-		}
-		metStallSeconds.Add(time.Since(lastAdvance).Seconds())
-		// The stall interval is only known in hindsight: backdate it to
-		// the frontier's last advance.
-		r.sp.ChildAt(lastAdvance, "stall", span.Int("shard", shard), span.Int("cell", f)).End()
-		r.o.Logger.Info("frontier stalled, stealing",
-			"shard", shard, "shards", r.job.Shards, "cell", f, "stalled_for", r.o.StealAfter)
-		cancel(errStolen)
-		lastAdvance = time.Now() // give the thief a full stall window
+		wk.assign <- wk.cur
 	}
 }
 
-// report publishes a progress observation. Called with r.mu held.
+// handle merges the lines a reader sent, or settles its ended attempt.
+func (r *run) handle(ctx context.Context, a *attempt) {
+	wk := a.wk
+	if len(a.lines) > 0 {
+		// Merge the lines in order, then feed any checkpointed shards the
+		// frontier advanced into.
+		a.cells = a.cells[:0]
+		for _, line := range a.lines {
+			if a.err = r.merger.Push(a.shard, line); a.err != nil {
+				break
+			}
+			a.cells = append(a.cells, r.merger.Last(a.shard))
+		}
+		if a.err == nil {
+			a.err = r.pump()
+		}
+		r.report()
+		wk.reply <- struct{}{}
+		return
+	}
+	wk.cur, wk.deadline = nil, time.Time{}
+	a.span.End()
+	r.shards[a.shard].st = a.st
+	if a.err == nil {
+		if wk.cause != nil { // killed after its shard completed: retire it
+			r.slots[wk.slot] = nil
+			close(wk.assign)
+		}
+		r.shardsDone++
+		err := r.merger.CloseShard(a.shard)
+		if err == nil {
+			err = r.pump()
+		}
+		r.report()
+		if err != nil {
+			r.failed(ctx, a.shard, fmt.Errorf("%w (%w)", err, errFatal))
+			return
+		}
+		r.o.Logger.Info("shard complete", "shard", a.shard, "shards", r.job.Shards, "records", a.st.pushed)
+		if r.o.onShardDone != nil {
+			r.o.onShardDone(a.shard)
+		}
+		return
+	}
+	r.slots[wk.slot] = nil // the reader reaped the worker
+	err := a.err
+	switch {
+	case errors.Is(err, errFatal):
+		r.o.Logger.Error("determinism violation",
+			"shard", a.shard, "shards", r.job.Shards, "attempt", a.n, "err", err)
+	case errors.Is(wk.cause, errStolen):
+		err = fmt.Errorf("shard %d dispatch %d: %w", a.shard, a.n, errStolen)
+	case errors.Is(wk.cause, context.DeadlineExceeded):
+		err = fmt.Errorf("attempt deadline (%s) exceeded, worker killed: %w", r.o.AttemptTimeout, wk.cause)
+	case !a.done && a.waitErr != nil:
+		err = fmt.Errorf("worker died without completion marker: %w (stream: %v)", a.waitErr, err)
+	}
+	r.failed(ctx, a.shard, err)
+}
+
+// failed decides what follows a failed dispatch: a steal re-dispatches at
+// once, a retryable failure queues the shard behind its backoff, and
+// anything else — a fatal error, exhausted attempts, cancellation —
+// gives the shard up.
+func (r *run) failed(ctx context.Context, shard int, err error) {
+	sh := &r.shards[shard]
+	sh.fromCell = 0
+	if errors.Is(err, errStolen) && r.rep.Steals[shard] < r.o.MaxAttempts && ctx.Err() == nil {
+		// A steal is not a worker failure: the thief is suffix-dispatched
+		// from the victim's frontier cell at once, without burning an
+		// attempt or backing off — bounded so a shard that keeps stalling
+		// cannot steal forever.
+		r.rep.Steals[shard]++
+		metSteals.Inc()
+		sh.fromCell = max(sh.st.curCell, 0)
+		r.o.Logger.Info("stalled attempt killed, re-dispatching",
+			"shard", shard, "shards", r.job.Shards, "from_cell", sh.fromCell, "steal", r.rep.Steals[shard])
+		sh.queued, sh.readyAt = true, time.Time{}
+		return
+	}
+	r.o.Logger.Warn("attempt failed",
+		"shard", shard, "shards", r.job.Shards, "attempt", sh.attempt, "err", err)
+	if ctx.Err() == nil && !errors.Is(err, errFatal) {
+		sh.attempt++
+		metRetries.Inc()
+		if sh.attempt <= r.o.MaxAttempts {
+			d := retryDelay(r.o.Backoff, retryJitter, r.job.Seed, shard, sh.attempt-1)
+			metBackoffWaits.Inc()
+			metBackoffSeconds.Add(d.Seconds())
+			r.o.Logger.Debug("retry backoff", "shard", shard, "attempt", sh.attempt, "delay", d)
+			sh.backoff = r.sp.Child("backoff",
+				span.Int("shard", shard), span.Int("attempt", sh.attempt), span.Str("delay", d.String()))
+			sh.queued, sh.readyAt = true, time.Now().Add(d)
+			return
+		}
+	}
+	r.failures = append(r.failures,
+		fmt.Errorf("shard %d/%d failed after %d attempt(s): %w", shard, r.job.Shards, r.rep.Attempts[shard], err))
+}
+
+// steal runs when the merge frontier has not advanced for StealAfter:
+// the worker serving the frontier's shard is killed, and its attempt's
+// end queues a suffix re-dispatch of the residue class.
+func (r *run) steal(now time.Time) {
+	var victim *worker
+	free, busy := false, 0
+	for _, wk := range r.slots {
+		switch {
+		case wk == nil || wk.cur == nil:
+			free = true
+		case wk.cur.shard == r.frontier%r.job.Shards && wk.cause == nil:
+			victim = wk
+			fallthrough
+		default:
+			busy++
+		}
+	}
+	// With no free slot and other shards using them, a steal would just
+	// queue behind healthy work; a lone stalled attempt frees its own
+	// slot. Either way the next event checks again.
+	if victim == nil || (!free && busy > 1) || r.frontier >= r.rep.Cells {
+		return
+	}
+	metStallSeconds.Add(now.Sub(r.lastAdvance).Seconds())
+	// The stall interval is only known in hindsight: backdate it to the
+	// frontier's last advance.
+	r.sp.ChildAt(r.lastAdvance, "stall", span.Int("shard", victim.cur.shard), span.Int("cell", r.frontier)).End()
+	r.o.Logger.Info("frontier stalled, stealing",
+		"shard", victim.cur.shard, "shards", r.job.Shards, "cell", r.frontier, "stalled_for", r.o.StealAfter)
+	r.kill(victim, errStolen)
+}
+
+// kill hard-kills the worker of an attempt the loop gives up on; the
+// reader sees its stream end and reports the attempt.
+func (r *run) kill(wk *worker, cause error) {
+	wk.cause = cause
+	wk.w.Kill()
+}
+
+// split is bufio.ScanLines, noting whether the scanner already holds the
+// next line: until it needs one it does not hold, it does not read, so
+// the lines it returned stay valid.
+func (wk *worker) split(data []byte, atEOF bool) (int, []byte, error) {
+	adv, tok, err := bufio.ScanLines(data, atEOF)
+	wk.more = tok != nil && bytes.IndexByte(data[adv:], '\n') >= 0
+	return adv, tok, err
+}
+
+// serve is the reader goroutine of one worker: it runs each attempt the
+// loop assigns, and reaps the worker (so the loop never blocks on a
+// process) after a failed one or once the loop closes assign.
+func (r *run) serve(wk *worker) {
+	defer r.readers.Done()
+	reap := func() error {
+		wk.w.In.Close() // the clean shutdown signal; Kill is the backstop
+		wk.w.Kill()
+		wk.w.Out.Close()
+		return wk.w.Wait()
+	}
+	for a := range wk.assign {
+		if r.stream(wk, a); a.err == nil {
+			r.events <- a
+			continue
+		}
+		// A failed worker may be dead or healthy-but-unusable (merge
+		// error mid-stream): its stream state is unknown either way.
+		a.waitErr = reap()
+		r.events <- a
+		return
+	}
+	reap()
+}
+
+// report publishes a progress observation and notes frontier advances
+// for the steal check.
 func (r *run) report() {
-	metFrontier.Set(float64(r.merger.Frontier()))
+	f := r.merger.Frontier()
+	if f != r.frontier {
+		r.frontier, r.lastAdvance = f, time.Now()
+	}
+	metFrontier.Set(float64(f))
 	if r.o.Progress == nil {
 		return
 	}
 	r.o.Progress(Progress{
-		MergedCells: r.merger.Frontier(),
-		Cells:       r.cells,
+		MergedCells: f,
+		Cells:       r.rep.Cells,
 		ShardsDone:  r.shardsDone,
 		Shards:      r.job.Shards,
 	})
 }
 
-// replayCursor reads a checkpointed shard file on demand.
-type replayCursor struct {
-	f  *os.File
-	sc *bufio.Scanner
-}
-
-// push forwards a live worker line, then feeds any checkpointed shards
-// the frontier advanced into. It returns the cell the line belongs to,
-// which the caller's shard state tracks for steal suffix-dispatch.
-func (r *run) push(shard int, line []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.merger.Push(shard, line); err != nil {
-		return 0, err
-	}
-	cell := r.merger.Last(shard)
-	err := r.pump()
-	r.report()
-	return cell, err
-}
-
-// closeShard marks a live shard complete, then pumps the replays.
-func (r *run) closeShard(shard int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shardsDone++
-	if err := r.merger.CloseShard(shard); err != nil {
-		return err
-	}
-	err := r.pump()
-	r.report()
-	return err
-}
-
 // pump feeds checkpointed shard files into the merger for as long as
 // the frontier cell belongs to one of them: the cursor's next lines are
 // exactly the frontier's records, so the merger queues stay near-empty
-// for replayed shards. Called with r.mu held.
+// for replayed shards.
 func (r *run) pump() error {
 	for {
 		j := r.merger.Frontier() % r.job.Shards
-		cur, ok := r.replays[j]
+		sc, ok := r.replays[j]
 		if !ok {
 			return nil // frontier owned by a live (or finished) shard
 		}
-		if cur.sc.Scan() {
-			if err := r.merger.Push(j, cur.sc.Bytes()); err != nil {
+		if sc.Scan() {
+			if err := r.merger.Push(j, sc.Bytes()); err != nil {
 				return err
 			}
 			continue
 		}
-		err := cur.sc.Err()
-		cur.f.Close()
 		delete(r.replays, j)
-		if err != nil {
+		if err := sc.Err(); err != nil {
 			return err
 		}
 		if err := r.merger.CloseShard(j); err != nil {
@@ -628,104 +680,26 @@ func (r *run) pump() error {
 	}
 }
 
-func (r *run) closeReplays() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, cur := range r.replays {
-		cur.f.Close()
-	}
-	r.replays = nil
-}
-
-// shardState tracks how much of a shard's deterministic stream has been
-// merged, across that shard's attempts: a retry (or a steal's thief)
-// re-produces the same bytes, so its first pushed lines are verified
-// against the running hash and skipped instead of re-merged.
-//
-// Beyond the whole-stream running hash, the state keeps a snapshot of
-// where the current (possibly partially merged) cell begins — line
-// count, byte offset and hash at that point. A steal's thief is
-// suffix-dispatched from that cell: the coordinator resumes the part
-// file's verified prefix for the earlier cells and only the frontier
-// cell's lines are replayed.
-type shardState struct {
-	pushed int
-	h      hash.Hash // sha256 over the pushed lines ('\n' included)
-
-	curCell        int    // cell of the last pushed line, -1 before the first
-	cellStart      int    // pushed-line count where curCell begins
-	cellStartBytes int64  // byte offset where curCell begins
-	cellStartSum   []byte // h's digest at cellStart
-}
-
-func newShardState() *shardState {
-	st := &shardState{h: sha256.New(), curCell: -1}
-	st.cellStartSum = st.h.Sum(nil)
-	return st
-}
-
 func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_%d.jsonl", shard))
 }
 
-// attempt runs one dispatch for one shard on the slot's long-lived
-// worker: consume the worker's #ready heartbeat, send the request,
-// stream the shard's records into the checkpoint file and the live
-// merger, verify the completion marker, and finalize the checkpoint
-// atomically. On success the worker stays pooled for the next dispatch;
-// on any failure — including a deadline kill or a steal — it is retired
-// and the slot respawns lazily.
+// stream runs one attempt on the worker's reader goroutine: consume the
+// #ready heartbeat, send the request, stream the shard's records into
+// the checkpoint log — verifying the prefix earlier attempts merged and
+// handing every later line to the loop to merge — and check the
+// completion marker. On success the checkpoint is sealed and the worker
+// stays pooled.
 //
-// fromCell > 0 requests a suffix dispatch (a steal's thief resuming at
-// the stolen shard's merge frontier): the worker streams only cells
-// with Index >= fromCell, the previous attempt's part file supplies the
-// earlier cells verbatim (sink.ResumeLog verifies them against the
-// prefix hash before reuse), and only the frontier cell's already-merged
-// lines are replayed through the prefix check. If the part file cannot
-// be verified the dispatch falls back to a full re-stream, which is
-// always correct.
-func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) error {
-	metDispatches.Inc()
-	r.o.Logger.Debug("dispatch",
-		"shard", shard, "shards", r.job.Shards, "slot", slot, "attempt", dispatch, "from_cell", fromCell)
-	dsp := r.sp.Child("dispatch", span.Int("shard", shard), span.Int("slot", slot),
-		span.Int("attempt", dispatch), span.Int("from_cell", fromCell))
-	defer dsp.End()
-	shardCell := metShardCell.With(strconv.Itoa(shard))
-	actx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	if r.o.AttemptTimeout > 0 {
-		var tcancel context.CancelFunc
-		actx, tcancel = context.WithTimeout(actx, r.o.AttemptTimeout)
-		defer tcancel()
-	}
-
-	spawnAt := time.Now()
-	pw, spawned, err := r.pool.acquire(slot)
-	if err != nil {
-		return err
-	}
-	if spawned {
-		dsp.ChildAt(spawnAt, "spawn").End()
-	}
-	// The watchdog turns any cancellation — per-attempt deadline, a
-	// steal, run cancellation — into a worker kill, which unblocks the
-	// read loop below with EOF. Stopped on the success path before the
-	// cancel is cleared, so a racing steal cannot kill a worker whose
-	// shard already completed.
-	stopWatch := context.AfterFunc(actx, func() { r.pool.retire(slot, pw) })
-	defer stopWatch()
-	r.setCancel(shard, cancel)
-	defer r.setCancel(shard, nil)
-
-	st := r.states[shard]
+// fromCell > 0 is a steal's suffix dispatch: the worker streams only
+// cells >= fromCell, and the previous attempt's part file supplies the
+// earlier cells if sink.ResumeLog verifies them (the victim may have left
+// a torn tail); if not, the dispatch falls back to a full re-stream.
+func (r *run) stream(wk *worker, a *attempt) {
+	shard, fromCell, st := a.shard, a.fromCell, &a.st
 	path := shardPath(r.dir, shard)
-
-	// A suffix dispatch continues the previous attempt's part after the
-	// cells before the frontier — if the file still holds those bytes
-	// verbatim: the victim may have died before flushing or left a torn
-	// tail.
 	var lg *sink.Log
+	var err error
 	if fromCell > 0 {
 		if lg, err = sink.ResumeLog(path, st.cellStartBytes, st.cellStartSum); err != nil {
 			r.o.Logger.Warn("part file unusable for suffix dispatch, re-streaming",
@@ -734,201 +708,147 @@ func (r *run) attempt(ctx context.Context, shard, slot, dispatch, fromCell int) 
 		}
 	}
 	if fromCell == 0 {
-		if lg, err = sink.CreateLog(path); err != nil {
-			r.pool.retire(slot, pw)
-			return err
+		if lg, a.err = sink.CreateLog(path); a.err != nil {
+			return
 		}
 	}
 	defer lg.Close()
-
-	req, err := json.Marshal(workRequest{
+	// Run resolved the job, so its Spec is valid JSON: this cannot fail.
+	req, _ := json.Marshal(workRequest{
 		Job:      r.job,
 		Shard:    exp.Shard{Index: shard, Count: r.job.Shards},
-		Attempt:  dispatch,
+		Attempt:  a.n,
 		FromCell: fromCell,
 	})
-	if err != nil {
-		return err
-	}
 
-	// prefix: the already-merged lines this attempt will stream again
-	// and must reproduce bit for bit. A full re-stream replays the whole
-	// merged prefix; a suffix dispatch replays only the frontier cell's
-	// lines (the earlier cells are not re-streamed at all). Either way
-	// the log then holds exactly the merged stream, so its running hash
-	// must equal the shard's.
+	// prefix: the merged lines this attempt streams again and must
+	// reproduce bit for bit — all of them on a full re-stream, the
+	// frontier cell's on a suffix dispatch. Either way the log then holds
+	// exactly the merged stream, so its hash must equal the merged one.
 	prefix := st.pushed
 	if fromCell > 0 {
 		prefix -= st.cellStart
 	}
-	prefixSum := st.h.Sum(nil)
-	ah := sha256.New() // hash of every record line this attempt streamed
-	// ready.wait covers the gap until the worker's heartbeat is consumed
-	// (the spawn cost on a fresh slot, zero-ish on a pooled one); stream
-	// then runs from the request write to the end of the attempt, with
-	// the prefix replay — a retry's whole merged prefix, or just the
-	// frontier cell on a steal's suffix dispatch — as a verify child.
-	readySp := dsp.Child("ready.wait")
+	shardCell := metShardCell.With(strconv.Itoa(shard))
+	// The tally of every record line this attempt streamed, checked
+	// against the worker's marker: on a full dispatch that is the log.
+	at := lg.Tally
+	if fromCell > 0 {
+		at = sink.NewTally()
+	}
+	// Spans: ready.wait until the heartbeat (spawn cost on a fresh slot),
+	// then stream to the end, with the prefix replay as a verify child.
+	readySp := a.span.Child("ready.wait")
 	var streamSp, verifySp *span.Span
 	defer func() { verifySp.End(); streamSp.End(); readySp.End() }()
 	var (
-		seen        int
-		expectReady = true
-		done        bool
-		doneN       int
+		seen, doneN int
 		doneSum     string
-		workErr     error
+		expectReady = true
 	)
-	for pw.sc.Scan() {
-		line := pw.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if expectReady {
-			// The idle heartbeat: present both on a fresh spawn and on
-			// a pooled worker (written after its previous request). The
-			// request is dispatched only once the heartbeat arrives —
-			// the worker is then guaranteed to be blocked reading its
-			// stdin, so the write cannot deadlock even over synchronous
-			// in-process pipes.
-			if string(line) == ReadyMarker {
-				expectReady = false
-				metHeartbeats.Inc()
-				readySp.End()
-				streamSp = dsp.Child("stream")
-				if prefix > 0 {
-					verifySp = streamSp.Child("verify",
-						span.Int("lines", prefix), span.Str("suffix", strconv.FormatBool(fromCell > 0)))
-				}
-				if _, err := pw.w.In.Write(append(req, '\n')); err != nil {
-					workErr = fmt.Errorf("sending job: %w", err)
-					break
-				}
-				continue
-			}
-			workErr = fmt.Errorf("worker: expected %s heartbeat, got %q", ReadyMarker, line)
-			break
-		}
-		if !sink.IsRecord(line) {
-			// A control line ends the stream: #done, or the worker's #error.
-			if doneN, doneSum, done = sink.ParseDoneMarker(line); !done {
-				workErr = fmt.Errorf("worker: %s", line)
-			}
-			break
-		}
+	// logLine appends a streamed record line to the checkpoint log.
+	logLine := func(line []byte) error {
 		rec := append(line, '\n')
-		if _, err := lg.Write(rec); err != nil {
-			workErr = err
-			break
+		if n, err := lg.Write(rec); err != nil {
+			lg.Tally.Write(rec[n:]) // the tally still follows the merged stream
+			return err
 		}
-		ah.Write(rec)
-		if seen < prefix {
-			// Replaying the prefix a previous attempt merged: verify the
-			// retry reproduces it bit for bit, don't re-merge it.
-			seen++
-			if seen == prefix {
-				verifySp.End()
-				if !bytes.Equal(lg.Sum(), prefixSum) {
-					workErr = fatalError{fmt.Errorf("retried shard %d reproduced different bytes than its merged prefix (%d lines) — determinism violation, not retryable", shard, prefix)}
+		if at != lg.Tally {
+			at.Write(rec)
+		}
+		if seen++; seen == prefix {
+			// Replaying the prefix a previous attempt merged: the retry
+			// must have reproduced it bit for bit.
+			verifySp.End()
+			if !bytes.Equal(lg.Sum(), st.sum) {
+				return fmt.Errorf("retried shard %d reproduced different bytes than its merged prefix (%d lines) — determinism violation, %w", shard, prefix, errFatal)
+			}
+		}
+		return nil
+	}
+	for a.err == nil && wk.sc.Scan() {
+		line := wk.sc.Bytes()
+		// Past the replayed prefix, record lines go to the loop in batches
+		// of what the scanner holds (they stay valid until it reads). The
+		// merged lines are then logged, snapshotting the stream position at
+		// each new cell's first line for a future steal's suffix dispatch.
+		batched := !expectReady && sink.IsRecord(line) && seen >= prefix
+		if batched {
+			a.lines = append(a.lines, line)
+		}
+		if len(a.lines) > 0 && (!batched || !wk.more) {
+			r.events <- a
+			<-wk.reply
+			for i, cell := range a.cells {
+				if cell != st.curCell {
+					st.curCell, st.cellStart, st.cellStartBytes, st.cellStartSum =
+						cell, lg.Records(), lg.Boundary(), lg.Sum()
+					shardCell.Set(float64(cell))
+				}
+				if err := logLine(a.lines[i]); err != nil {
+					a.err = err
 					break
 				}
 			}
+			a.lines = a.lines[:0]
+		}
+		if batched || a.err != nil {
 			continue
 		}
-		cell, err := r.push(shard, line)
-		if err != nil {
-			workErr = err
+		switch {
+		case len(line) == 0:
+			continue
+		case expectReady && string(line) == ReadyMarker:
+			// The idle heartbeat, on a fresh spawn and on a pooled worker
+			// alike: the worker now blocks reading its stdin, so the
+			// request write cannot deadlock even over synchronous pipes.
+			expectReady = false
+			metHeartbeats.Inc()
+			readySp.End()
+			streamSp = a.span.Child("stream")
+			if prefix > 0 {
+				verifySp = streamSp.Child("verify",
+					span.Int("lines", prefix), span.Str("suffix", strconv.FormatBool(fromCell > 0)))
+			}
+			if _, err := wk.w.In.Write(append(req, '\n')); err != nil {
+				a.err = fmt.Errorf("sending job: %w", err)
+			}
+			continue
+		case expectReady:
+			a.err = fmt.Errorf("worker: expected %s heartbeat, got %q", ReadyMarker, line)
+			continue
+		case !sink.IsRecord(line):
+			// A control line ends the stream: #done, or the worker's #error.
+			if doneN, doneSum, a.done = sink.ParseDoneMarker(line); !a.done {
+				a.err = fmt.Errorf("worker: %s", line)
+			}
+		}
+		if a.done || a.err != nil {
 			break
 		}
-		if cell != st.curCell {
-			// First line of a new cell: snapshot the stream position so a
-			// future steal can suffix-dispatch from this cell.
-			st.cellStart = st.pushed
-			st.cellStartBytes = lg.Boundary() - int64(len(rec))
-			st.cellStartSum = st.h.Sum(nil)
-			st.curCell = cell
-			shardCell.Set(float64(cell))
-		}
-		st.h.Write(rec)
-		st.pushed++
-		seen++
-	}
-	if workErr == nil {
-		workErr = pw.sc.Err()
+		a.err = logLine(line) // a line of the replayed prefix
 	}
 	streamSp.SetAttr("lines", strconv.Itoa(seen))
-
-	var attemptErr error
+	if seen >= prefix {
+		st.pushed, st.sum = lg.Records(), lg.Sum()
+	}
 	switch {
-	case workErr != nil:
-		attemptErr = workErr
-	case !done:
-		attemptErr = fmt.Errorf("worker stream ended without completion marker")
+	case a.err != nil:
+	case wk.sc.Err() != nil:
+		a.err = wk.sc.Err()
+	case !a.done:
+		a.err = fmt.Errorf("worker stream ended without completion marker")
 	case seen < prefix:
-		attemptErr = fatalError{fmt.Errorf("retried shard %d streamed %d lines, fewer than the %d its dispatch had to replay — determinism violation, not retryable", shard, seen, prefix)}
-	case doneN != seen || doneSum != hex.EncodeToString(ah.Sum(nil)):
-		attemptErr = fmt.Errorf("completion marker mismatch: worker declared %d records (%s), coordinator saw %d (%s)",
-			doneN, doneSum, seen, hex.EncodeToString(ah.Sum(nil)))
+		a.err = fmt.Errorf("retried shard %d streamed %d lines, fewer than the %d its dispatch had to replay — determinism violation, %w", shard, seen, prefix, errFatal)
+	case doneN != seen || doneSum != hex.EncodeToString(at.Sum()):
+		a.err = fmt.Errorf("completion marker mismatch: worker declared %d records (%s), coordinator saw %d (%s)",
+			doneN, doneSum, seen, hex.EncodeToString(at.Sum()))
+	default:
+		// The checkpoint's marker is the log's own, over the whole merged
+		// stream (a suffix dispatch's worker declared only the suffix), so
+		// every checkpoint self-validates however it was assembled.
+		a.err = lg.Seal()
 	}
-	if attemptErr != nil {
-		// The worker may be dead (crash, kill) or healthy-but-unusable
-		// (merge error mid-stream): either way its residual stream state
-		// is unknown, so retire it and let the slot respawn.
-		waitErr := r.pool.retire(slot, pw)
-		var fe fatalError
-		if errors.As(attemptErr, &fe) {
-			r.o.Logger.Error("determinism violation",
-				"shard", shard, "shards", r.job.Shards, "attempt", dispatch, "err", attemptErr)
-			return attemptErr
-		}
-		if cause := context.Cause(actx); cause != nil {
-			switch {
-			case errors.Is(cause, errStolen):
-				return fmt.Errorf("shard %d dispatch %d: %w", shard, dispatch, errStolen)
-			case errors.Is(cause, context.DeadlineExceeded):
-				return fmt.Errorf("attempt deadline (%s) exceeded, worker killed: %w", r.o.AttemptTimeout, cause)
-			}
-		}
-		if !done && waitErr != nil {
-			return fmt.Errorf("worker died without completion marker: %w (stream: %v)", waitErr, attemptErr)
-		}
-		return attemptErr
-	}
-
-	// Success: stop the watchdog and clear the steal hook before
-	// touching shared completion state; the worker stays pooled.
-	stopWatch()
-	cancel(nil)
-
-	// The checkpoint's completion marker is the log's own — over the
-	// whole merged stream, where a suffix dispatch's worker only declared
-	// the suffix — so every checkpoint stays self-validating no matter how
-	// its bytes were assembled. On a full dispatch it is byte-identical to
-	// the marker the worker sent.
-	if err := lg.Seal(); err != nil {
-		return err
-	}
-	if err := r.closeShard(shard); err != nil {
-		return fatalError{err}
-	}
-	r.o.Logger.Info("shard complete", "shard", shard, "shards", r.job.Shards, "records", st.pushed)
-	if r.o.onShardDone != nil {
-		r.o.onShardDone(shard)
-	}
-	return nil
-}
-
-func (r *run) finishMerge(cells int) (exp.Result, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.pump(); err != nil { // normally a no-op: every close pumps
-		return nil, err
-	}
-	res, err := r.merger.Finish(cells)
-	if err == nil {
-		r.report()
-	}
-	return res, err
 }
 
 // ValidateRecordsFileSum is sink.ValidateLog under the name the

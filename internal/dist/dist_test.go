@@ -79,9 +79,10 @@ func init() {
 // ServeWork under an explicit fault schedule — the same injector the
 // subprocess path reads from MESHOPT_FAULT.
 type testSpawner struct {
-	sched  *fault.Schedule
-	mu     sync.Mutex
-	spawns int
+	sched   *fault.Schedule
+	onSpawn func(spawns int) // observes each spawn, after the worker started
+	mu      sync.Mutex
+	spawns  int
 }
 
 // mustSchedule parses a fault spec or dies.
@@ -103,9 +104,15 @@ func (s *testSpawner) spawnCount() int {
 func (s *testSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 	s.mu.Lock()
 	s.spawns++
+	n := s.spawns
 	s.mu.Unlock()
 	inR, inW := io.Pipe()
-	outR, outW := io.Pipe()
+	// Output goes through an OS pipe, as from a worker process: its
+	// buffer lets the coordinator's reader see several lines per read.
+	outR, outW, err := os.Pipe()
+	if err != nil {
+		return nil, err
+	}
 	release := make(chan struct{})
 	var once sync.Once
 	kill := func() {
@@ -116,19 +123,18 @@ func (s *testSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 			// boundary via the sink-error cancellation path.
 			close(release)
 			inR.CloseWithError(io.ErrClosedPipe)
-			outW.CloseWithError(io.ErrClosedPipe)
+			outW.Close()
 		})
 	}
 	done := make(chan error, 1)
 	go func() {
 		err := ServeWork(inR, outW, s.sched, release, nil)
-		if err != nil {
-			outW.CloseWithError(err)
-		} else {
-			outW.Close()
-		}
+		outW.Close()
 		done <- err
 	}()
+	if s.onSpawn != nil {
+		s.onSpawn(n)
+	}
 	return &Worker{In: inW, Out: outR, Kill: kill, Wait: func() error { return <-done }}, nil
 }
 
@@ -257,7 +263,7 @@ func TestCoordStealUnwedgesHungWorkerMidShard(t *testing.T) {
 	// Shard 1's first worker emits 2 of its 4 records (cells 1, 4 of 10
 	// over 3 shards... cells 1,4,7 for shard 1 of toyDist n=10), then
 	// wedges — with NO attempt timeout. The frontier stalls at the
-	// wedged shard's next cell; after StealAfter the steal monitor
+	// wedged shard's next cell; after StealAfter the steal check
 	// kills the attempt and re-dispatches the residue class. The
 	// thief's stream replays the 2 already-merged records, which are
 	// verified against the running SHA-256 and skipped, and the merged
@@ -387,11 +393,11 @@ func TestCoordCancelReturnsPromptly(t *testing.T) {
 	// of waiting out the fan-out.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sp := &testSpawner{sched: mustSchedule(t, "0/hang@0,1/hang@0,2/hang@0")}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	sp := &testSpawner{sched: mustSchedule(t, "0/hang@0,1/hang@0,2/hang@0"), onSpawn: func(n int) {
+		if n == 3 {
+			cancel()
+		}
+	}}
 	start := time.Now()
 	_, err := Run(ctx, toyJob(3), t.TempDir(), Options{Slots: 3, Spawner: sp})
 	if err == nil {
@@ -504,18 +510,14 @@ func TestRetryDelaySchedule(t *testing.T) {
 		5: 500 * time.Millisecond,
 		9: 500 * time.Millisecond,
 	} {
-		if got := retryDelay(base, 0, 0, 5, 1, n); got != want {
+		if got := retryDelay(base, 0, 5, 1, n); got != want {
 			t.Errorf("attempt %d: delay %v, want %v", n, got, want)
 		}
 	}
-	// An explicit cap overrides the 5×base default.
-	if got := retryDelay(base, 250*time.Millisecond, 0, 5, 1, 9); got != 250*time.Millisecond {
-		t.Errorf("capped delay = %v, want 250ms", got)
-	}
 	// Jitter shortens deterministically: same inputs, same delay; the
 	// result stays within [d×(1-jitter), d] and differs across shards.
-	d1 := retryDelay(base, 0, 0.5, 5, 1, 2)
-	d2 := retryDelay(base, 0, 0.5, 5, 1, 2)
+	d1 := retryDelay(base, retryJitter, 5, 1, 2)
+	d2 := retryDelay(base, retryJitter, 5, 1, 2)
 	if d1 != d2 {
 		t.Fatalf("jittered delay not deterministic: %v vs %v", d1, d2)
 	}
@@ -524,7 +526,7 @@ func TestRetryDelaySchedule(t *testing.T) {
 	}
 	distinct := map[time.Duration]bool{}
 	for shard := 0; shard < 8; shard++ {
-		distinct[retryDelay(base, 0, 0.5, 5, shard, 2)] = true
+		distinct[retryDelay(base, retryJitter, 5, shard, 2)] = true
 	}
 	if len(distinct) < 2 {
 		t.Fatal("jitter does not decorrelate shards")

@@ -225,10 +225,10 @@ func (i *Injector) BeforeRecord(n int) error {
 	for _, f := range i.faults {
 		switch f.Kind {
 		case Slow:
-			time.Sleep(f.Delay)
+			i.sleep(f.Delay)
 		case Stall:
 			if n == f.After {
-				time.Sleep(f.Delay)
+				i.sleep(f.Delay)
 			}
 		case Kill:
 			if n >= f.After {
@@ -245,6 +245,17 @@ func (i *Injector) BeforeRecord(n int) error {
 		}
 	}
 	return nil
+}
+
+// sleep waits d, or until the worker is released: a killed in-process
+// worker stops at once, as a killed process would.
+func (i *Injector) sleep(d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-i.release:
+	}
 }
 
 // Corrupts reports whether record line n should be corrupted in transit.

@@ -3,7 +3,7 @@ package dist
 import "repro/internal/obs"
 
 // Coordinator metrics, registered in the process-wide registry. All
-// out-of-band: they count dispatch-loop events and observe merge
+// out-of-band: they count coordinator loop events and observe merge
 // progress, never the record bytes, so the merged stream is identical
 // with the registry on or off.
 var (
@@ -12,7 +12,7 @@ var (
 	metRetries = obs.Default.Counter("meshopt_coord_retries_total",
 		"Failed attempts that were retried.")
 	metSteals = obs.Default.Counter("meshopt_coord_steals_total",
-		"Stalled attempts killed and re-dispatched by the steal monitor.")
+		"Stalled attempts killed and re-dispatched by the steal check.")
 	metBackoffWaits = obs.Default.Counter("meshopt_coord_backoff_waits_total",
 		"Retry backoff sleeps.")
 	metBackoffSeconds = obs.Default.Counter("meshopt_coord_backoff_seconds_total",
@@ -26,5 +26,5 @@ var (
 	metShardCell = obs.Default.GaugeVec("meshopt_coord_shard_frontier_cell",
 		"Last cell merged per shard — the gap to meshopt_coord_frontier_cells is that shard's lag.", "shard")
 	metStallSeconds = obs.Default.Counter("meshopt_coord_frontier_stall_seconds_total",
-		"Frontier stall time observed by the steal monitor before each steal.")
+		"Frontier stall time observed by the steal check before each steal.")
 )

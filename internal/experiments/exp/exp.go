@@ -53,6 +53,8 @@ var (
 		"Wall time spent collecting capture records.", "experiment")
 	metCaptureRecords = obs.Default.CounterVec("meshopt_exp_capture_records_total",
 		"Capture records appended to cell streams.", "experiment")
+	metCellPanics = obs.Default.Counter("meshopt_cell_panics_total",
+		"Cell bodies that panicked, each failing its run with a *runner.PanicError.")
 )
 
 // Scale sets the fidelity/runtime trade-off of an experiment run.
@@ -255,8 +257,8 @@ type Options struct {
 	// cell's worker goroutine, so the factory must be safe for
 	// concurrent calls) and the returned capture rides the cell through
 	// its body; its records are appended after the cell's own records.
-	// Capture records are never fed to the reduction — Reduce sees
-	// exactly the capture-off stream.
+	// Capture records are never fed to the reduction (Reduction drops
+	// them) — Reduce sees exactly the capture-off stream.
 	Capture func(c Cell) Capture
 }
 
@@ -303,19 +305,12 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 		snk = sink.Discard
 	}
 	streamer, multi := e.(RecordStreamer)
-	// cellOut carries a cell's records plus the boundary between the
-	// body's own records and the appended capture records — the latter
-	// are streamed to the sink but never fed to the reduction.
-	type cellOut struct {
-		recs []sink.Record
-		own  int
-	}
 	observing := obs.Default.Enabled()
 	cellSeconds := metCellSeconds.With(e.Name())
 	captureSeconds := metCaptureSeconds.With(e.Name())
 	captureRecords := metCaptureRecords.With(e.Name())
 	metRuns.With(e.Name()).Inc()
-	runCell := func(_ int, c Cell) cellOut {
+	runCell := func(_ int, c Cell) []sink.Record {
 		if o.Capture != nil {
 			c.Capture = o.Capture(c)
 		}
@@ -355,7 +350,7 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 				recs[i].Series = "cell"
 			}
 		}
-		return cellOut{recs: recs, own: own}
+		return recs
 	}
 
 	progress := o.Progress
@@ -376,8 +371,8 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 		}
 		var sinkErr error
 		done := 0
-		runErr := runner.StreamCtx(runCtx, runner.Workers(), mine, runCell, func(_ int, out cellOut) {
-			for _, rec := range out.recs {
+		runErr := runner.StreamCtx(runCtx, runner.Workers(), mine, runCell, func(_ int, recs []sink.Record) {
+			for _, rec := range recs {
 				if sinkErr == nil {
 					if sinkErr = snk.Write(rec); sinkErr != nil {
 						stop()
@@ -397,51 +392,36 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 	}
 
 	// The reduction consumes the stream concurrently with the sink; both
-	// see records in cell order. The deferred close keeps the reducer
+	// see records in cell order. The deferred Finish keeps the reducer
 	// goroutine from leaking if emit panics mid-run.
-	ch := make(chan sink.Record, 4*runner.Workers())
-	done := make(chan Result, 1)
-	go func() {
-		reduceSpan := runSpan.Child("reduce")
-		r := e.Reduce(ch)
-		reduceSpan.End()
-		done <- r
-	}()
-	closed := false
-	closeCh := func() {
-		if !closed {
-			closed = true
-			close(ch)
-		}
-	}
-	defer closeCh()
+	reduceSpan := runSpan.Child("reduce")
+	red := NewReduction(e)
+	defer red.Finish()
 	var sinkErr error
 	cellsDone := 0
-	runErr := runner.StreamCtx(runCtx, runner.Workers(), cells, runCell, func(_ int, out cellOut) {
-		for i, rec := range out.recs {
+	runErr := runner.StreamCtx(runCtx, runner.Workers(), cells, runCell, func(_ int, recs []sink.Record) {
+		for _, rec := range recs {
 			if sinkErr == nil {
 				if sinkErr = snk.Write(rec); sinkErr != nil {
 					stop()
 				}
 			}
-			if i < out.own {
-				ch <- rec
-			}
+			red.Feed(rec)
 		}
 		cellsDone++
 		progress(cellsDone, len(cells))
 	})
-	closeCh()
-	res := <-done
-	if sinkErr != nil {
+	res, err := red.Finish()
+	reduceSpan.End()
+	switch {
+	case sinkErr != nil:
 		return nil, sinkErr
-	}
-	if runErr != nil {
+	case runErr != nil:
 		// A partial reduction would be wrong; only the streamed prefix
 		// (a valid resume checkpoint) survives a cancelled run.
 		return nil, runFailure(runCtx, e.Name(), runErr, cellsDone, len(cells))
 	}
-	return res, nil
+	return res, err
 }
 
 // runFailure explains why the fan-out stopped after done of total
@@ -450,6 +430,7 @@ func Run(e Experiment, seed int64, sc Scale, o Options) (Result, error) {
 func runFailure(ctx context.Context, name string, err error, done, total int) error {
 	var pe *runner.PanicError
 	if errors.As(err, &pe) {
+		metCellPanics.Inc()
 		return fmt.Errorf("exp: %s: %w", name, err)
 	}
 	return fmt.Errorf("exp: %s cancelled after %d/%d cells: %w", name, done, total, context.Cause(ctx))

@@ -372,8 +372,15 @@ func (e panicExp) RunCell(c Cell) sink.Record {
 
 // TestRunCellPanicIsAnError: a panicking cell fails the run with a
 // *runner.PanicError naming it, on the reducing and the sharded path
-// and at any worker count, after the cells before it reached the sink.
+// and at any worker count, after the cells before it reached the sink;
+// meshopt_cell_panics_total counts each one.
 func TestRunCellPanicIsAnError(t *testing.T) {
+	before := metCellPanics.Value()
+	defer func() {
+		if got := metCellPanics.Value() - before; got != 4 {
+			t.Errorf("meshopt_cell_panics_total rose by %v over 4 panicking runs", got)
+		}
+	}()
 	for _, workers := range []int{1, 2} {
 		for _, shard := range []Shard{{}, {Index: 0, Count: 1}} {
 			old := runner.SetWorkers(workers)

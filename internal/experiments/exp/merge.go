@@ -155,8 +155,7 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 
 	bw := bufio.NewWriter(out)
 	var (
-		reduceCh chan sink.Record
-		done     chan Result
+		red      *Reduction
 		started  bool
 		multi    bool // the stream's experiment emits several records per cell
 		curCell  = -1 // cell currently being copied
@@ -164,13 +163,11 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 		nextCell int  // first cell not yet seen
 		missing  []CellRange
 	)
-	finish := func() Result {
-		if reduceCh == nil {
-			return nil
+	finish := func() (Result, error) {
+		if red == nil {
+			return nil, nil
 		}
-		close(reduceCh)
-		reduceCh = nil
-		return <-done
+		return red.Finish()
 	}
 	defer finish()
 
@@ -193,9 +190,7 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 			started = true
 			if e, ok := Find(c.rec.Scenario); ok {
 				_, multi = e.(RecordStreamer)
-				reduceCh = make(chan sink.Record, 64)
-				done = make(chan Result, 1)
-				go func(e Experiment, ch <-chan sink.Record) { done <- e.Reduce(ch) }(e, reduceCh)
+				red = NewReduction(e)
 			} else {
 				multi = true // unregistered streams may carry several records per cell
 			}
@@ -233,8 +228,8 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 			if err := bw.WriteByte('\n'); err != nil {
 				return nil, err
 			}
-			if reduceCh != nil {
-				reduceCh <- c.rec
+			if red != nil {
+				red.Feed(c.rec)
 			}
 		}
 		if err := advance(c); err != nil {
@@ -247,5 +242,5 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 	if len(missing) > 0 {
 		return nil, &GapError{Missing: missing, Cells: nextCell}
 	}
-	return finish(), nil
+	return finish()
 }

@@ -29,8 +29,8 @@ import (
 // shards diverge, not by the sweep (shards of one experiment do equal
 // work per cell, so divergence stays small in practice).
 //
-// Merger is not safe for concurrent use; the coordinator serializes
-// Push/CloseShard/Finish under one mutex.
+// Merger is not safe for concurrent use; the coordinator calls it from
+// its one loop goroutine.
 type Merger struct {
 	out       *bufio.Writer
 	k         int
@@ -42,9 +42,7 @@ type Merger struct {
 	next      int // frontier: first cell not yet fully emitted
 	nEmitted  int // records emitted for the frontier cell
 	autoFlush bool
-	reduceCh  chan sink.Record
-	done      chan Result
-	finished  bool
+	red       *Reduction // nil without an experiment
 }
 
 type mergeLine struct {
@@ -74,9 +72,7 @@ func NewMerger(out io.Writer, shards int, e Experiment) *Merger {
 	}
 	if e != nil {
 		_, m.multi = e.(RecordStreamer)
-		m.reduceCh = make(chan sink.Record, 64)
-		m.done = make(chan Result, 1)
-		go func(e Experiment, ch <-chan sink.Record) { m.done <- e.Reduce(ch) }(e, m.reduceCh)
+		m.red = NewReduction(e)
 	}
 	return m
 }
@@ -195,8 +191,8 @@ func (m *Merger) emit(l mergeLine) error {
 	if err := m.out.WriteByte('\n'); err != nil {
 		return err
 	}
-	if m.reduceCh != nil {
-		m.reduceCh <- l.rec
+	if m.red != nil {
+		m.red.Feed(l.rec)
 	}
 	return nil
 }
@@ -230,8 +226,7 @@ func (m *Merger) Finish(expectedCells int) (Result, error) {
 		m.Abort()
 		return nil, err
 	}
-	res := m.stopReduction()
-	return res, nil
+	return m.stopReduction()
 }
 
 // Abort tears the merger down without validation: the reduction
@@ -243,18 +238,11 @@ func (m *Merger) Abort() {
 	m.out.Flush()
 }
 
-func (m *Merger) stopReduction() Result {
-	if m.finished {
-		return nil
+func (m *Merger) stopReduction() (Result, error) {
+	if m.red == nil {
+		return nil, nil
 	}
-	m.finished = true
-	if m.reduceCh == nil {
-		return nil
-	}
-	close(m.reduceCh)
-	res := <-m.done
-	m.reduceCh = nil
-	return res
+	return m.red.Finish()
 }
 
 // Frontier reports merge progress: the first cell not yet fully merged.

@@ -267,9 +267,8 @@ func reduceEntry(e exp.Experiment, path string) (exp.Result, error) {
 		return nil, err
 	}
 	defer f.Close()
-	ch := make(chan sink.Record, 64)
-	done := make(chan exp.Result, 1)
-	go func() { done <- e.Reduce(ch) }()
+	red := exp.NewReduction(e)
+	defer red.Finish()
 	sc := sink.NewLineScanner(f)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -278,16 +277,12 @@ func reduceEntry(e exp.Experiment, path string) (exp.Result, error) {
 		}
 		rec, err := sink.DecodeJSONL(line)
 		if err != nil {
-			close(ch)
-			<-done
 			return nil, err
 		}
-		if rec.Series == "trace" {
-			continue // capture records ride the stream, never the reduction
-		}
-		ch <- rec
+		red.Feed(rec)
 	}
-	close(ch)
-	res := <-done
-	return res, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return red.Finish()
 }

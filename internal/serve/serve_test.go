@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -1116,5 +1117,63 @@ func TestRecordsSubscriberInRenameWindow(t *testing.T) {
 	})
 	if b := <-got; !bytes.Equal(b, body) {
 		t.Fatalf("streamed %q, want %q", b, body)
+	}
+}
+
+// toyReducePanic is servetoy with a Reduce that panics.
+type toyReducePanic struct{ toyServe }
+
+func (toyReducePanic) Name() string { return "servereducepanic" }
+
+func (toyReducePanic) Reduce(recs <-chan sink.Record) exp.Result {
+	<-recs
+	panic("reduce exploded")
+}
+
+func init() { exp.Register(toyReducePanic{toyServe{n: toyN}}) }
+
+// TestReducePanicIsAnError: a panicking Reduce fails the run with a
+// *exp.ReducePanicError — through exp.Run, through exp.Merger, and as a
+// failed serve job, unsharded or sharded — while the process and the
+// server carry on.
+func TestReducePanicIsAnError(t *testing.T) {
+	e, _ := exp.Find("servereducepanic")
+	var rpe *exp.ReducePanicError
+	if _, err := exp.Run(e, 1, exp.Quick(), exp.Options{}); !errors.As(err, &rpe) {
+		t.Fatalf("exp.Run: err = %v, want a *exp.ReducePanicError", err)
+	}
+	m := exp.NewMerger(io.Discard, 1, e)
+	for _, line := range bytes.Split(bytes.TrimSpace(refStream(t, "servetoy", 1)), []byte("\n")) {
+		line = bytes.Replace(line, []byte("servetoy"), []byte("servereducepanic"), 1)
+		if err := m.Push(0, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Finish(toyN); !errors.As(err, &rpe) {
+		t.Fatalf("exp.Merger: err = %v, want a *exp.ReducePanicError", err)
+	}
+
+	_, ts := newTestServer(t, t.TempDir(), Options{Spawner: pipeSpawner{}})
+	for _, body := range []string{
+		`{"experiment":"servereducepanic","seed":1}`,
+		`{"experiment":"servereducepanic","seed":1,"shards":2}`,
+	} {
+		sr := postJob(t, ts, body)
+		deadline := time.Now().Add(30 * time.Second)
+		st := getStatus(t, ts, sr.ID)
+		for st.State != stateFailed {
+			if st.State == stateDone || time.Now().After(deadline) {
+				t.Fatalf("%s: job state %q, want failed", body, st.State)
+			}
+			time.Sleep(10 * time.Millisecond)
+			st = getStatus(t, ts, sr.ID)
+		}
+		if !strings.Contains(st.Error, "reduce panicked: reduce exploded") {
+			t.Fatalf("%s: job error %q does not name the reduce panic", body, st.Error)
+		}
+	}
+	ok := postJob(t, ts, `{"experiment":"servetoy","seed":35}`)
+	if got, _ := getRecords(t, ts, ok.ID, ""); !bytes.Equal(got, refStream(t, "servetoy", 35)) {
+		t.Fatalf("job after the panics streamed %q, want the reference bytes", got)
 	}
 }

@@ -49,6 +49,20 @@ if [ -n "$STRAY" ]; then
     exit 1
 fi
 
+echo "== coordinator single-owner gate (internal/dist: one loop goroutine owns the run state)"
+# The coordinator's loop owns every piece of scheduling and merge state,
+# so non-test Go under internal/dist declares no mutex and injects no
+# cancellation from another goroutine; and no dist test sleeps to wait
+# for a state it could observe.
+OWNERS="$(grep -rnE --include='*.go' 'sync\.(RW)?Mutex|context\.(AfterFunc|WithCancelCause)' internal/dist |
+    grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+SLEEPS="$(grep -rn --include='*.go' 'time\.Sleep' internal/dist | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [ -n "$OWNERS$SLEEPS" ]; then
+    echo "internal/dist must keep its single-owner loop and sleep-free tests:" >&2
+    printf '%s\n' "$OWNERS" "$SLEEPS" >&2
+    exit 1
+fi
+
 echo "== go test -race (parallel experiment engine + shard coordinator + serve layer + trace + obs)"
 go test -race ./internal/experiments/... ./internal/dist/... ./internal/serve ./internal/trace ./internal/obs/...
 
