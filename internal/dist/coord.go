@@ -108,19 +108,17 @@ var errFatal = errors.New("not retryable")
 var errStolen = errors.New("dist: attempt stolen (merge frontier stalled)")
 
 // The fixed retry policy: attempt n waits n×base capped at
-// maxBackoff×base, shortened by up to retryJitter of itself.
+// maxBackoff×base, shortened by up to retryJitter of itself by a hash of
+// (seed, shard, attempt) — reproducible, but decorrelated across shards.
 const (
 	maxBackoff  = 5
 	retryJitter = 0.5
 )
 
-// retryDelay is the retry schedule with its jitter fraction as a
-// parameter. The jitter is a deterministic hash of (seed, shard,
-// attempt): reproducible, but decorrelated across shards.
-func retryDelay(base time.Duration, jitter float64, seed int64, shard, attempt int) time.Duration {
+func retryDelay(base time.Duration, seed int64, shard, attempt int) time.Duration {
 	d := time.Duration(min(attempt, maxBackoff)) * base
 	u := float64(fault.Mix64(uint64(seed), uint64(shard), uint64(attempt))>>11) / (1 << 53)
-	return time.Duration(float64(d) * (1 - jitter*u))
+	return time.Duration(float64(d) * (1 - retryJitter*u))
 }
 
 // Run executes (or resumes) a sharded experiment run in dir. It
@@ -308,7 +306,7 @@ type worker struct {
 	more     bool           // the scanner holds another line (reader-owned)
 	cur      *attempt       // in flight, nil when idle
 	deadline time.Time      // AttemptTimeout expiry of cur
-	cause    error          // why the loop killed the worker, nil if it did not
+	cause    error          // why the loop killed the worker (its reader then sees EOF), if it did
 }
 
 // attempt is one dispatch of a shard, passed between the loop and the
@@ -346,9 +344,12 @@ func (r *run) loop(ctx context.Context) {
 		if !next.IsZero() {
 			wake.Reset(next.Sub(now)) // a stale wake is harmless
 		}
+	wait:
 		select {
 		case a := <-r.events:
-			r.handle(ctx, a)
+			if !r.handle(ctx, a) {
+				goto wait // a merged batch frees no slot and brings no timer forward
+			}
 		case <-wake.C:
 		case <-cancelled:
 			// Kill every attempt in flight; dispatch gives the queued shards
@@ -356,7 +357,8 @@ func (r *run) loop(ctx context.Context) {
 			cancelled = nil
 			for _, wk := range r.slots {
 				if wk != nil && wk.cur != nil && wk.cause == nil {
-					r.kill(wk, ctx.Err())
+					wk.cause = ctx.Err()
+					wk.w.Kill()
 				}
 			}
 		}
@@ -392,7 +394,8 @@ func (r *run) timers(now time.Time) (next time.Time, busy bool) {
 		if wk != nil && wk.cur != nil {
 			busy = true
 			if wk.cause == nil && !wk.deadline.IsZero() && due(wk.deadline) {
-				r.kill(wk, context.DeadlineExceeded)
+				wk.cause = context.DeadlineExceeded
+				wk.w.Kill()
 			}
 		}
 	}
@@ -435,9 +438,8 @@ func (r *run) dispatch(ctx context.Context, now time.Time) {
 			w, err := r.o.Spawner.Spawn(ctx, slot)
 			if err != nil {
 				dsp.End()
-				r.failed(ctx, shard, err)
-				r.dispatch(ctx, now) // the retry may be due at once
-				return
+				r.failed(ctx, shard, err) // the slot stays free for the next shard
+				continue
 			}
 			r.rep.Spawns++
 			metSpawns.Inc()
@@ -461,8 +463,9 @@ func (r *run) dispatch(ctx context.Context, now time.Time) {
 	}
 }
 
-// handle merges the lines a reader sent, or settles its ended attempt.
-func (r *run) handle(ctx context.Context, a *attempt) {
+// handle merges the lines a reader sent, or settles its ended attempt
+// and reports true.
+func (r *run) handle(ctx context.Context, a *attempt) bool {
 	wk := a.wk
 	if len(a.lines) > 0 {
 		// Merge the lines in order, then feed any checkpointed shards the
@@ -479,7 +482,7 @@ func (r *run) handle(ctx context.Context, a *attempt) {
 		}
 		r.report()
 		wk.reply <- struct{}{}
-		return
+		return false
 	}
 	wk.cur, wk.deadline = nil, time.Time{}
 	a.span.End()
@@ -497,13 +500,13 @@ func (r *run) handle(ctx context.Context, a *attempt) {
 		r.report()
 		if err != nil {
 			r.failed(ctx, a.shard, fmt.Errorf("%w (%w)", err, errFatal))
-			return
+			return true
 		}
 		r.o.Logger.Info("shard complete", "shard", a.shard, "shards", r.job.Shards, "records", a.st.pushed)
 		if r.o.onShardDone != nil {
 			r.o.onShardDone(a.shard)
 		}
-		return
+		return true
 	}
 	r.slots[wk.slot] = nil // the reader reaped the worker
 	err := a.err
@@ -519,6 +522,7 @@ func (r *run) handle(ctx context.Context, a *attempt) {
 		err = fmt.Errorf("worker died without completion marker: %w (stream: %v)", a.waitErr, err)
 	}
 	r.failed(ctx, a.shard, err)
+	return true
 }
 
 // failed decides what follows a failed dispatch: a steal re-dispatches at
@@ -547,7 +551,7 @@ func (r *run) failed(ctx context.Context, shard int, err error) {
 		sh.attempt++
 		metRetries.Inc()
 		if sh.attempt <= r.o.MaxAttempts {
-			d := retryDelay(r.o.Backoff, retryJitter, r.job.Seed, shard, sh.attempt-1)
+			d := retryDelay(r.o.Backoff, r.job.Seed, shard, sh.attempt-1)
 			metBackoffWaits.Inc()
 			metBackoffSeconds.Add(d.Seconds())
 			r.o.Logger.Debug("retry backoff", "shard", shard, "attempt", sh.attempt, "delay", d)
@@ -590,14 +594,8 @@ func (r *run) steal(now time.Time) {
 	r.sp.ChildAt(r.lastAdvance, "stall", span.Int("shard", victim.cur.shard), span.Int("cell", r.frontier)).End()
 	r.o.Logger.Info("frontier stalled, stealing",
 		"shard", victim.cur.shard, "shards", r.job.Shards, "cell", r.frontier, "stalled_for", r.o.StealAfter)
-	r.kill(victim, errStolen)
-}
-
-// kill hard-kills the worker of an attempt the loop gives up on; the
-// reader sees its stream end and reports the attempt.
-func (r *run) kill(wk *worker, cause error) {
-	wk.cause = cause
-	wk.w.Kill()
+	victim.cause = errStolen
+	victim.w.Kill()
 }
 
 // split is bufio.ScanLines, noting whether the scanner already holds the
@@ -642,15 +640,14 @@ func (r *run) report() {
 		r.frontier, r.lastAdvance = f, time.Now()
 	}
 	metFrontier.Set(float64(f))
-	if r.o.Progress == nil {
-		return
+	if r.o.Progress != nil {
+		r.o.Progress(Progress{
+			MergedCells: f,
+			Cells:       r.rep.Cells,
+			ShardsDone:  r.shardsDone,
+			Shards:      r.job.Shards,
+		})
 	}
-	r.o.Progress(Progress{
-		MergedCells: f,
-		Cells:       r.rep.Cells,
-		ShardsDone:  r.shardsDone,
-		Shards:      r.job.Shards,
-	})
 }
 
 // pump feeds checkpointed shard files into the merger for as long as
@@ -679,6 +676,9 @@ func (r *run) pump() error {
 		}
 	}
 }
+
+// logWrite appends to a checkpoint log; fault tests make it fail.
+var logWrite = (*sink.Log).Write
 
 func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_%d.jsonl", shard))
@@ -749,7 +749,7 @@ func (r *run) stream(wk *worker, a *attempt) {
 	// logLine appends a streamed record line to the checkpoint log.
 	logLine := func(line []byte) error {
 		rec := append(line, '\n')
-		if n, err := lg.Write(rec); err != nil {
+		if n, err := logWrite(lg, rec); err != nil {
 			lg.Tally.Write(rec[n:]) // the tally still follows the merged stream
 			return err
 		}
@@ -785,9 +785,9 @@ func (r *run) stream(wk *worker, a *attempt) {
 						cell, lg.Records(), lg.Boundary(), lg.Sum()
 					shardCell.Set(float64(cell))
 				}
-				if err := logLine(a.lines[i]); err != nil {
+				// Past a failed write too: the tally must cover every merged line.
+				if err := logLine(a.lines[i]); a.err == nil {
 					a.err = err
-					break
 				}
 			}
 			a.lines = a.lines[:0]

@@ -81,6 +81,7 @@ func init() {
 type testSpawner struct {
 	sched   *fault.Schedule
 	onSpawn func(spawns int) // observes each spawn, after the worker started
+	hold    bool             // send record lines with the control line after them
 	mu      sync.Mutex
 	spawns  int
 }
@@ -126,9 +127,13 @@ func (s *testSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 			outW.Close()
 		})
 	}
+	var out io.Writer = outW
+	if s.hold {
+		out = &heldWriter{w: outW}
+	}
 	done := make(chan error, 1)
 	go func() {
-		err := ServeWork(inR, outW, s.sched, release, nil)
+		err := ServeWork(inR, out, s.sched, release, nil)
 		outW.Close()
 		done <- err
 	}()
@@ -136,6 +141,25 @@ func (s *testSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 		s.onSpawn(n)
 	}
 	return &Worker{In: inW, Out: outR, Kill: kill, Wait: func() error { return <-done }}, nil
+}
+
+// heldWriter holds a worker's record lines back until the control line
+// that follows them, then writes them all at once: the coordinator's
+// reader sees a whole shard stream in one read and merges it as one
+// batch.
+type heldWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (h *heldWriter) Write(p []byte) (int, error) {
+	h.buf = append(h.buf, p...)
+	if len(p) == 0 || p[0] != '#' {
+		return len(p), nil
+	}
+	_, err := h.w.Write(h.buf)
+	h.buf = h.buf[:0]
+	return len(p), err
 }
 
 // unsharded renders the job's byte stream and reduction in-process.
@@ -503,30 +527,29 @@ func TestCoordInlineSpecJob(t *testing.T) {
 
 func TestRetryDelaySchedule(t *testing.T) {
 	base := 100 * time.Millisecond
-	// Without jitter the schedule is exactly n×base capped at 5×base.
-	for n, want := range map[int]time.Duration{
+	// Attempt n waits n×base capped at 5×base, shortened by at most
+	// retryJitter of itself.
+	for n, full := range map[int]time.Duration{
 		1: 100 * time.Millisecond,
 		3: 300 * time.Millisecond,
 		5: 500 * time.Millisecond,
 		9: 500 * time.Millisecond,
 	} {
-		if got := retryDelay(base, 0, 5, 1, n); got != want {
-			t.Errorf("attempt %d: delay %v, want %v", n, got, want)
+		lo := time.Duration(float64(full) * (1 - retryJitter))
+		if got := retryDelay(base, 5, 1, n); got < lo || got > full {
+			t.Errorf("attempt %d: delay %v outside [%v, %v]", n, got, lo, full)
 		}
 	}
-	// Jitter shortens deterministically: same inputs, same delay; the
-	// result stays within [d×(1-jitter), d] and differs across shards.
-	d1 := retryDelay(base, retryJitter, 5, 1, 2)
-	d2 := retryDelay(base, retryJitter, 5, 1, 2)
+	// Jitter shortens deterministically: same inputs, same delay, but
+	// different across shards.
+	d1 := retryDelay(base, 5, 1, 2)
+	d2 := retryDelay(base, 5, 1, 2)
 	if d1 != d2 {
 		t.Fatalf("jittered delay not deterministic: %v vs %v", d1, d2)
 	}
-	if d1 < 100*time.Millisecond || d1 > 200*time.Millisecond {
-		t.Fatalf("jittered delay %v outside [100ms, 200ms]", d1)
-	}
 	distinct := map[time.Duration]bool{}
 	for shard := 0; shard < 8; shard++ {
-		distinct[retryDelay(base, retryJitter, 5, shard, 2)] = true
+		distinct[retryDelay(base, 5, shard, 2)] = true
 	}
 	if len(distinct) < 2 {
 		t.Fatal("jitter does not decorrelate shards")

@@ -101,34 +101,29 @@ type manifest struct {
 // cache imports a finished rundir's merged.jsonl as a cache entry keyed
 // by this job.
 func ReadRunManifest(dir string) (Job, int, error) {
-	m, err := readManifest(filepath.Join(dir, "run.json"))
-	return m.Job, m.Cells, err
-}
-
-func readManifest(path string) (manifest, error) {
-	var m manifest
+	path := filepath.Join(dir, "run.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return m, err
+		return Job{}, 0, err
 	}
+	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("dist: %s: %w", path, err)
+		return Job{}, 0, fmt.Errorf("dist: %s: %w", path, err)
 	}
 	if m.Version != manifestVersion {
-		return m, fmt.Errorf("dist: %s: manifest version %d, this binary reads %d", path, m.Version, manifestVersion)
+		return Job{}, 0, fmt.Errorf("dist: %s: manifest version %d, this binary reads %d", path, m.Version, manifestVersion)
 	}
-	return m, nil
+	return m.Job, m.Cells, nil
 }
 
 // loadOrWriteManifest validates the run directory against the job: a
 // fresh directory gets a manifest, a resumed one must match it (a seed
 // or scale mismatch would merge incompatible shard streams).
 func loadOrWriteManifest(path string, job Job, cells int, created string) error {
-	want := manifest{Version: manifestVersion, Job: job, Cells: cells}
-	have, err := readManifest(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		want.Created = created
-		out, err := json.MarshalIndent(want, "", "  ")
+		m := manifest{Version: manifestVersion, Job: job, Cells: cells, Created: created}
+		out, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -137,8 +132,15 @@ func loadOrWriteManifest(path string, job Job, cells int, created string) error 
 	if err != nil {
 		return err
 	}
-	have.Created = ""
-	haveKey, _ := json.Marshal(have)
+	var have manifest
+	if err := json.Unmarshal(data, &have); err != nil {
+		return fmt.Errorf("dist: %s: %w", path, err)
+	}
+	if have.Version != manifestVersion {
+		return fmt.Errorf("dist: %s: manifest version %d, this binary writes %d", path, have.Version, manifestVersion)
+	}
+	want := manifest{Version: manifestVersion, Job: job, Cells: cells}
+	haveKey, _ := json.Marshal(manifest{Version: have.Version, Job: have.Job, Cells: have.Cells})
 	wantKey, _ := json.Marshal(want)
 	if string(haveKey) != string(wantKey) {
 		return fmt.Errorf("dist: %s: run directory belongs to a different job\n  have: %s\n  want: %s",

@@ -9,23 +9,26 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dist/fault"
 	"repro/internal/obs/span"
+	"repro/internal/scenario/sink"
 )
 
 // TestCoordScheduleSweep drives the coordinator through every cut point
 // of every shard under each fault family, one run per schedule: a kill
 // or a corrupt line on the first attempt (retried), a kill on every
-// attempt (MaxAttempts exhausted), a hang stolen once StealAfter passes
-// and a hang killed at its AttemptTimeout. Every run must merge bytes
-// equal to the unsharded stream — or, when the fault outlasts
-// MaxAttempts, fail with the injected fault in its error chain — with
-// attempts and steals within their bounds, the first Slots dispatches
-// going to shards 0..Slots-1 in order, and no reader, worker or timer
-// goroutine left behind.
+// attempt (MaxAttempts exhausted), a hang stolen once StealAfter passes,
+// a hang killed at its AttemptTimeout, and a checkpoint-log write that
+// fails once, in the middle of a batch the loop has already merged.
+// Every run must merge bytes equal to the unsharded stream — or, when
+// the fault outlasts MaxAttempts, fail with the injected fault in its
+// error chain — with attempts and steals within their bounds, the first
+// Slots dispatches going to shards 0..Slots-1 in order, and no reader,
+// worker or timer goroutine left behind.
 func TestCoordScheduleSweep(t *testing.T) {
 	const (
 		cells       = 10 // toyDist's
@@ -43,6 +46,8 @@ func TestCoordScheduleSweep(t *testing.T) {
 		fires      bool // the cut point lies inside the shard's stream
 		exhausts   bool // the fault fires on every attempt
 		stolenOnly bool // the fault is cleared by a steal, not a retry
+		cut        int  // the record the fault hits
+		logFail    bool // the first log write of that record fails
 	}
 	var sweep []schedule
 	for shard := 0; shard < shards; shard++ {
@@ -58,6 +63,10 @@ func TestCoordScheduleSweep(t *testing.T) {
 				schedule{spec: fmt.Sprintf(one, "hang"), o: Options{AttemptTimeout: 200 * time.Millisecond},
 					shard: shard, fires: fires},
 			)
+			if fires {
+				sweep = append(sweep, schedule{spec: fmt.Sprintf(one, "logfail"),
+					shard: shard, cut: cut, fires: true, logFail: true})
+			}
 		}
 	}
 
@@ -71,10 +80,21 @@ func TestCoordScheduleSweep(t *testing.T) {
 		}
 		o := sc.o
 		o.Slots, o.MaxAttempts, o.Backoff = slots, maxAttempts, 1
-		o.Spawner = &testSpawner{sched: mustSchedule(t, sc.spec)}
+		sp := &testSpawner{}
+		if sc.logFail {
+			// Each first attempt's records arrive in one batch, so every
+			// cut point but the shard's last fails mid-batch. toyDist's
+			// cell c is record c/shards of shard c%shards.
+			sp.hold = true
+			failOnce(t, job, sc.shard+sc.cut*shards)
+		} else {
+			sp.sched = mustSchedule(t, sc.spec)
+		}
+		o.Spawner = sp
 		dir := t.TempDir()
 		rec := span.NewRecorder()
 		rep, err := Run(span.NewContext(context.Background(), rec.Root("coord")), job, dir, o)
+		logWrite = (*sink.Log).Write
 
 		switch {
 		case sc.exhausts:
@@ -127,5 +147,21 @@ func TestCoordScheduleSweep(t *testing.T) {
 					name, runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 			}
 		}
+	}
+}
+
+// failOnce makes the checkpoint-log write of toyDist's cell fail once,
+// as a full disk would, with nothing written.
+func failOnce(t *testing.T, job Job, cell int) {
+	t.Helper()
+	var failed atomic.Bool
+	logWrite = func(lg *sink.Log, p []byte) (int, error) {
+		rec, err := sink.DecodeJSONL(bytes.TrimSuffix(p, []byte("\n")))
+		if err != nil {
+			t.Errorf("log write of a line that is not a record: %q", p)
+		} else if int(rec.Float("v"))-int(job.Seed)*1000 == cell && failed.CompareAndSwap(false, true) {
+			return 0, errors.New("injected log write failure")
+		}
+		return lg.Write(p)
 	}
 }
