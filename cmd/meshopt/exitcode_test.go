@@ -47,6 +47,12 @@ func TestExitCodeConventions(t *testing.T) {
 		{"fig bad shard spec", func() int { return runFig([]string{"5", "-shard", "5/2"}) }, 2},
 		{"fig shard needs jsonl", func() int { return runFig([]string{"5", "-shard", "0/2", "-format", "csv"}) }, 2},
 		{"fig bad format", func() int { return runFig([]string{"5", "-format", "xml"}) }, 2},
+		{"fig bad seed", func() int { return runFig([]string{"5", "-seed", "x"}) }, 2},
+		{"fig help", func() int { return runFig([]string{"-h"}) }, 0},
+		{"fig unknown scenario", func() int { return runFig([]string{"nosuchscenario"}) }, 2},
+		{"fig flags without target", func() int { return runFig([]string{"-scale", "quick"}) }, 2},
+		{"fig scenario unknown scale", func() int { return runFig([]string{"quickstart", "-scale", "huge"}) }, 2},
+		{"fig scenario bad format", func() int { return runFig([]string{"quickstart", "-format", "xml"}) }, 2},
 
 		{"merge ok", func() int { return runMerge([]string{"-o", filepath.Join(tmp, "merged.jsonl"), s0, s1}) }, 0},
 		{"merge no inputs", func() int { return runMerge(nil) }, 2},
@@ -58,13 +64,10 @@ func TestExitCodeConventions(t *testing.T) {
 		{"coord bad shards", func() int { return runCoord([]string{"5", "-shards", "0", "-dir", tmp + "/r"}) }, 2},
 		{"coord bad retries", func() int { return runCoord([]string{"5", "-shards", "2", "-retries", "0", "-dir", tmp + "/r"}) }, 2},
 		{"coord unknown scale", func() int { return runCoord([]string{"5", "-shards", "2", "-scale", "huge", "-dir", tmp + "/r"}) }, 2},
-
-		{"run unknown scenario", func() int { return runScenario([]string{"nosuchscenario"}) }, 2},
-		{"run no target", func() int { return runScenario(nil) }, 2},
-		{"run unknown scale", func() int { return runScenario([]string{"quickstart", "-scale", "huge"}) }, 2},
-		{"run bad format", func() int { return runScenario([]string{"quickstart", "-format", "xml"}) }, 2},
+		{"coord unknown flag", func() int { return runCoord([]string{"5", "-nosuch"}) }, 2},
 
 		{"serve no cache", func() int { return runServe(nil) }, 2},
+		{"serve bad jobs", func() int { return runServe([]string{"-jobs", "x"}) }, 2},
 		{"serve cache is a file", func() int {
 			return runServe([]string{"-cache", filepath.Join(inTheWay, "sub"), "-addr", "127.0.0.1:0"})
 		}, 1},
@@ -73,6 +76,7 @@ func TestExitCodeConventions(t *testing.T) {
 		{"submit unknown target", func() int { return runSubmit([]string{"nosuchtarget"}) }, 2},
 		{"submit unknown scale", func() int { return runSubmit([]string{"5", "-scale", "huge"}) }, 2},
 		{"submit no server", func() int { return runSubmit([]string{"5", "-addr", "http://127.0.0.1:1"}) }, 1},
+		{"submit negative from", func() int { return runSubmit([]string{"5", "-from", "-1"}) }, 2},
 
 		{"watch no target", func() int { return runWatch(nil) }, 2},
 		{"watch unknown target", func() int { return runWatch([]string{"nosuchtarget"}) }, 2},
@@ -84,13 +88,13 @@ func TestExitCodeConventions(t *testing.T) {
 		{"report unparseable capture", func() int { return runReport([]string{badTrace}) }, 1},
 		{"report ok", func() int { return runReport([]string{goodTrace}) }, 0},
 
-		{"fig trace ok", func() int {
+		{"fig spans ok", func() int {
 			return runFig([]string{"5", "-o", filepath.Join(tmp, "fig5t.jsonl"),
-				"-trace", filepath.Join(tmp, "fig5t.trace.json")})
+				"-spans", filepath.Join(tmp, "fig5t.spans.json")})
 		}, 0},
-		{"fig trace unwritable", func() int {
+		{"fig spans unwritable", func() int {
 			return runFig([]string{"5", "-o", filepath.Join(tmp, "fig5u.jsonl"),
-				"-trace", filepath.Join(inTheWay, "sub", "t.json")})
+				"-spans", filepath.Join(inTheWay, "sub", "t.json")})
 		}, 1},
 
 		{"stats stray arg", func() int { return runStats([]string{"extra"}) }, 2},
@@ -99,6 +103,7 @@ func TestExitCodeConventions(t *testing.T) {
 		{"stats metrics and path", func() int { return runStats([]string{"-metrics", "-path", "/v1/stats"}) }, 2},
 		{"stats bad path", func() int { return runStats([]string{"-path", "no-slash"}) }, 2},
 		{"stats no server", func() int { return runStats([]string{"-addr", "http://127.0.0.1:1"}) }, 1},
+		{"stats help", func() int { return runStats([]string{"-h"}) }, 0},
 
 		{"coord bad log level", func() int {
 			return runCoord([]string{"5", "-shards", "2", "-dir", tmp + "/r2", "-log-level", "loud"})

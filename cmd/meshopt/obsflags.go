@@ -13,21 +13,27 @@ import (
 )
 
 // obsFlags carries the shared observability flags (-log-level,
-// -log-format) a server-side subcommand registers on its flag set.
+// -log-format, and -metrics-addr where bound) a server-side subcommand
+// registers on its flag set.
 type obsFlags struct {
-	level  *string
-	format *string
+	level   *string
+	format  *string
+	sidecar *string
 }
 
-// addObsFlags registers the logging flags on fs. defLevel is the
-// subcommand's default level — info for servers and coordinators, warn
-// for workers (whose stderr rides the coordinator's, so per-request
-// events are opt-in there).
-func addObsFlags(fs *flag.FlagSet, defLevel string) *obsFlags {
-	return &obsFlags{
+// addObsFlags registers the logging flags on fs, plus -metrics-addr when
+// sidecar is set. defLevel is the subcommand's default level — info for
+// servers and coordinators, warn for workers (whose stderr rides the
+// coordinator's, so per-request events are opt-in there).
+func addObsFlags(fs *flag.FlagSet, defLevel string, sidecar bool) *obsFlags {
+	f := &obsFlags{
 		level:  fs.String("log-level", defLevel, "event log level: debug, info, warn or error"),
 		format: fs.String("log-format", "text", "event log format: text or json"),
 	}
+	if sidecar {
+		f.sidecar = fs.String("metrics-addr", "", "serve GET /metrics and /debug/pprof/* on this sidecar address (host:port; empty = off)")
+	}
+	return f
 }
 
 // logger resolves the flags into a structured logger writing to w. A
@@ -45,14 +51,14 @@ func (f *obsFlags) logger(w io.Writer) (*slog.Logger, error) {
 }
 
 // startSidecar starts the -metrics-addr observability sidecar (GET
-// /metrics + /debug/pprof/*) when addr is nonempty, announcing the
+// /metrics + /debug/pprof/*) when one was asked for, announcing the
 // bound address on stderr. The returned func shuts it down; it is a
-// no-op when addr was empty.
-func startSidecar(addr string) (func(), error) {
-	if addr == "" {
+// no-op when no sidecar runs.
+func (f *obsFlags) startSidecar() (func(), error) {
+	if *f.sidecar == "" {
 		return func() {}, nil
 	}
-	bound, shutdown, err := obs.Sidecar(addr, obs.Default)
+	bound, shutdown, err := obs.Sidecar(*f.sidecar, obs.Default)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -9,31 +8,28 @@ import (
 )
 
 // runReport implements the `report` subcommand: read a span capture
-// (Chrome trace-event JSON or JSONL, as written by -trace or the serve
+// (Chrome trace-event JSON or JSONL, as written by -spans or the serve
 // trace endpoint) and print the run decomposition — critical path,
 // per-slot utilization, retry/steal cost accounting, cell latency
 // quantiles. Exit codes: 0 ok, 1 unparseable capture, 2 usage or
 // unreadable file.
 func runReport(args []string) int {
-	fs := flag.NewFlagSet("meshopt report", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt report <spans.json|spans.jsonl>")
-		fs.PrintDefaults()
+	f := newFlags("report", "<spans.json|spans.jsonl>", 0)
+	if code, ok := f.parse(args); !ok {
+		return code
 	}
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fs.Usage()
+	if f.NArg() != 1 {
+		f.Usage()
 		return 2
 	}
-	f, err := os.Open(fs.Arg(0))
+	file, err := os.Open(f.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
-	defer f.Close()
-	spans, err := span.Parse(f)
+	defer file.Close()
+	spans, err := span.Parse(file)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Arg(0), err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", f.Arg(0), err)
 		return 1
 	}
 	span.Build(spans).Format(os.Stdout)

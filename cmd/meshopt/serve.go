@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,7 +16,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/experiments/runner"
 	"repro/internal/serve"
 )
@@ -24,31 +23,27 @@ import (
 // runServe implements the `serve` subcommand: the HTTP experiment
 // service. Exit codes: 0 clean shutdown, 1 runtime failure, 2 usage.
 func runServe(args []string) int {
-	fs := flag.NewFlagSet("meshopt serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free one)")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory (required)")
-	jobs := fs.Int("jobs", 2, "max concurrently executing jobs; further submissions queue FIFO")
-	workers := fs.Int("workers", 0, "in-process worker pool size; 0 = GOMAXPROCS")
-	slots := fs.Int("slots", 0, "worker slots for sharded (shards>1) jobs; 0 = coordinator default")
-	jobTTL := fs.Duration("job-ttl", 0, "evict terminal jobs from the in-memory table after this long (their cache entries keep serving resubmissions); 0 = never")
-	cacheMax := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries once their summed size passes this; 0 = unbounded")
-	imports := fs.String("import", "", "comma-separated coordinator run directories to import as cache entries at startup")
-	of := addObsFlags(fs, "info")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt serve -cache dir [-addr :8080] [-jobs n] [-workers n]")
-		fs.PrintDefaults()
+	f := newFlags("serve", "-cache dir [-addr :8080] [-jobs n] [-workers n]", withWorkers)
+	addr := f.String("addr", ":8080", "listen address (host:port; port 0 picks a free one)")
+	cacheDir := f.String("cache", "", "content-addressed result cache directory (required)")
+	jobs := f.Int("jobs", 2, "max concurrently executing jobs; further submissions queue FIFO")
+	slots := f.Int("slots", 0, "worker slots for sharded (shards>1) jobs; 0 = coordinator default")
+	jobTTL := f.Duration("job-ttl", 0, "evict terminal jobs from the in-memory table after this long (their cache entries keep serving resubmissions); 0 = never")
+	cacheMax := f.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries once their summed size passes this; 0 = unbounded")
+	imports := f.String("import", "", "comma-separated coordinator run directories to import as cache entries at startup")
+	of := addObsFlags(f.FlagSet, "info", false)
+	if code, ok := f.parse(args); !ok {
+		return code
 	}
-	fs.Parse(args)
 	if *cacheDir == "" {
-		fs.Usage()
+		f.Usage()
 		return 2
 	}
 	logger, err := of.logger(os.Stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
-	runner.SetWorkers(*workers)
+	runner.SetWorkers(*f.workers)
 	s, err := serve.New(serve.Options{
 		CacheDir:      *cacheDir,
 		MaxJobs:       *jobs,
@@ -58,8 +53,7 @@ func runServe(args []string) int {
 		Logger:        logger,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	for _, dir := range strings.Split(*imports, ",") {
 		if dir = strings.TrimSpace(dir); dir == "" {
@@ -67,15 +61,13 @@ func runServe(args []string) int {
 		}
 		key, err := s.Cache().ImportRunDir(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return failure(err)
 		}
 		fmt.Fprintf(os.Stderr, "serve: imported %s as %.12s\n", dir, key)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	fmt.Printf("meshopt serve: listening on http://%s (cache %s)\n", ln.Addr(), *cacheDir)
 	os.Stdout.Sync()
@@ -87,8 +79,7 @@ func runServe(args []string) int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	case <-sig:
 		fmt.Fprintln(os.Stderr, "meshopt serve: shutting down (checkpointing in-flight jobs)")
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -122,20 +113,6 @@ func newHTTPServer(h http.Handler) *http.Server {
 		ReadHeaderTimeout: serveReadHeaderTimeout,
 		IdleTimeout:       serveIdleTimeout,
 	}
-}
-
-// submitBody builds the POST /v1/jobs payload for a resolved target.
-func submitBody(ti *shardTarget, seed int64, scale string, shards int) ([]byte, error) {
-	req := map[string]any{
-		"experiment": ti.name,
-		"seed":       seed,
-		"scale":      scale,
-		"shards":     shards,
-	}
-	if len(ti.spec) > 0 {
-		req["spec"] = json.RawMessage(ti.spec)
-	}
-	return json.Marshal(req)
 }
 
 // decodeResponse reads an API response and decodes its JSON body into
@@ -182,49 +159,24 @@ type serverStatus struct {
 // byte-identical to running the same job locally with `meshopt fig`.
 // Exit codes: 0 ok, 1 runtime/server failure, 2 usage or unknown name.
 func runSubmit(args []string) int {
-	fs := flag.NewFlagSet("meshopt submit", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL")
-	seed := fs.Int64("seed", 1, "experiment seed")
-	scaleName := fs.String("scale", "quick", "experiment scale: quick or paper")
-	shards := fs.Int("shards", 0, "dispatch over k shards via the server's coordinator (0/1 = in-process)")
-	from := fs.Int("from", 0, "stream records starting at this cell index")
-	out := fs.String("o", "", "write records to this file (default: stdout)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt submit <n|name|scenario|spec.json> -addr http://host:port [flags]")
-		fs.PrintDefaults()
+	f := newFlags("submit", "<n|name|scenario|spec.json> -addr http://host:port [flags]", withTarget|withOut|withShards|withServer)
+	from := f.Int("from", 0, "stream records starting at this cell index")
+	target, code, ok := f.parseTarget(args)
+	if !ok {
+		return code
 	}
-	var target string
-	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		target, args = args[0], args[1:]
-	}
-	fs.Parse(args)
-	if target == "" && fs.NArg() > 0 {
-		target = fs.Arg(0)
-	}
-	if target == "" {
-		fs.Usage()
-		return 2
-	}
-	ti, err := resolveShardable(target)
+	j, err := f.resolve(target)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if _, err := parseScale(*scaleName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
 	if *from < 0 {
-		fmt.Fprintln(os.Stderr, "-from must be >= 0")
-		return 2
+		return usageError(errors.New("-from must be >= 0"))
 	}
-
-	body, err := submitBody(ti, seedOrDefault(fs, *seed, ti.seed), *scaleName, *shards)
+	body, err := json.Marshal(j.Job)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
-	base := strings.TrimRight(*addr, "/")
+	base := f.server()
 	var sub struct {
 		ID      string `json:"id"`
 		State   string `json:"state"`
@@ -232,12 +184,11 @@ func runSubmit(args []string) int {
 		Created bool   `json:"created"`
 	}
 	status, err := postJSON(base+"/v1/jobs", body, &sub)
+	if status == http.StatusBadRequest {
+		return usageError(err) // the server rejected the job itself
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if status == http.StatusBadRequest {
-			return 2 // the server rejected the job itself: a usage error
-		}
-		return 1
+		return failure(err)
 	}
 	how := "submitted"
 	switch {
@@ -248,10 +199,9 @@ func runSubmit(args []string) int {
 	}
 	fmt.Fprintf(os.Stderr, "job %.12s: %s (%d cells, state %s)\n", sub.ID, how, sub.Cells, sub.State)
 
-	recordW, logW, closeOut, err := openRecords(*out)
+	recordW, logW, closeOut, err := f.records()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	url := base + "/v1/jobs/" + sub.ID + "/records"
 	if *from > 0 {
@@ -259,8 +209,7 @@ func runSubmit(args []string) int {
 	}
 	resp, err := http.Get(url)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		// An error body must never reach the records destination: it
@@ -277,15 +226,13 @@ func runSubmit(args []string) int {
 		copyErr = cerr
 	}
 	if copyErr != nil {
-		fmt.Fprintln(os.Stderr, copyErr)
-		return 1
+		return failure(copyErr)
 	}
 
 	// The stream ends when the job reaches a terminal state; report it.
 	var st serverStatus
 	if _, err := getJSON(base+"/v1/jobs/"+sub.ID, &st); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	if st.State != "done" {
 		fmt.Fprintf(os.Stderr, "job %.12s: %s: %s\n", sub.ID, st.State, st.Error)
@@ -308,6 +255,9 @@ func getJSON(url string, out any) (int, error) {
 
 var jobIDPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
+// watchInterval is how often watch polls the job's status.
+const watchInterval = 200 * time.Millisecond
+
 // runWatch implements the `watch` subcommand: poll a job's status and
 // render a live progress line off the server's merge frontier. The
 // argument is either a job id (as printed by submit) or the same
@@ -315,50 +265,23 @@ var jobIDPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 // Exit codes: 0 job done, 1 job failed or server unreachable, 2 usage
 // or unknown name/job.
 func runWatch(args []string) int {
-	fs := flag.NewFlagSet("meshopt watch", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL")
-	seed := fs.Int64("seed", 1, "experiment seed (when the argument is a target, not a job id)")
-	scaleName := fs.String("scale", "quick", "experiment scale: quick or paper")
-	interval := fs.Duration("interval", 200*time.Millisecond, "poll interval")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt watch <job-id|n|name|scenario|spec.json> -addr http://host:port [flags]")
-		fs.PrintDefaults()
-	}
-	var target string
-	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		target, args = args[0], args[1:]
-	}
-	fs.Parse(args)
-	if target == "" && fs.NArg() > 0 {
-		target = fs.Arg(0)
-	}
-	if target == "" {
-		fs.Usage()
-		return 2
+	f := newFlags("watch", "<job-id|n|name|scenario|spec.json> -addr http://host:port [flags]", withTarget|withServer)
+	target, code, ok := f.parseTarget(args)
+	if !ok {
+		return code
 	}
 	id := target
 	if !jobIDPattern.MatchString(target) {
-		ti, err := resolveShardable(target)
+		j, err := f.resolve(target)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			return usageError(err)
 		}
-		if _, err := parseScale(*scaleName); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		if id, err = serve.JobKey(dist.Job{
-			Experiment: ti.name,
-			Spec:       ti.spec,
-			Seed:       seedOrDefault(fs, *seed, ti.seed),
-			Scale:      *scaleName,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+		if id, err = serve.JobKey(j.Job); err != nil {
+			return usageError(err)
 		}
 	}
 
-	base := strings.TrimRight(*addr, "/")
+	base := f.server()
 	for {
 		var st serverStatus
 		status, err := getJSON(base+"/v1/jobs/"+id, &st)
@@ -367,8 +290,7 @@ func runWatch(args []string) int {
 			return 2
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return failure(err)
 		}
 		fmt.Fprintf(os.Stderr, "\rwatch %.12s: %-8s cells %d/%d, %d records ",
 			st.ID, st.State, st.CellsDone, st.Cells, st.Records)
@@ -383,6 +305,6 @@ func runWatch(args []string) int {
 			fmt.Fprintf(os.Stderr, "\n%s\n", st.Error)
 			return 1
 		}
-		time.Sleep(*interval)
+		time.Sleep(watchInterval)
 	}
 }

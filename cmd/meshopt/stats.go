@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,19 +19,16 @@ import (
 // sample (jobs by state, queue depth, cache bytes).
 // Exit codes: 0 ok, 1 server unreachable or non-200, 2 usage.
 func runStats(args []string) int {
-	fs := flag.NewFlagSet("meshopt stats", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL (scheme optional)")
-	metrics := fs.Bool("metrics", false, "fetch /metrics (Prometheus text) instead of /v1/stats")
-	path := fs.String("path", "", "fetch this GET path instead (e.g. /debug/pprof/)")
-	watch := fs.Duration("watch", 0, "poll /v1/stats at this interval and print one delta line per sample (e.g. -watch 2s)")
-	samples := fs.Int("samples", 0, "with -watch: stop after this many samples (0 = until interrupted)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt stats -addr http://host:port [-metrics | -path /some/path | -watch 2s [-samples n]]")
-		fs.PrintDefaults()
+	f := newFlags("stats", "-addr http://host:port [-metrics | -path /some/path | -watch 2s [-samples n]]", withServer)
+	metrics := f.Bool("metrics", false, "fetch /metrics (Prometheus text) instead of /v1/stats")
+	path := f.String("path", "", "fetch this GET path instead (e.g. /debug/pprof/)")
+	watch := f.Duration("watch", 0, "poll /v1/stats at this interval and print one delta line per sample (e.g. -watch 2s)")
+	samples := f.Int("samples", 0, "with -watch: stop after this many samples (0 = until interrupted)")
+	if code, ok := f.parse(args); !ok {
+		return code
 	}
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		fs.Usage()
+	if f.NArg() > 0 {
+		f.Usage()
 		return 2
 	}
 	exclusive := 0
@@ -58,10 +54,7 @@ func runStats(args []string) int {
 		return 2
 	}
 
-	base := strings.TrimRight(*addr, "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
+	base := f.server()
 	if *watch != 0 {
 		return watchStats(base, *watch, *samples)
 	}
@@ -79,8 +72,7 @@ func runStats(args []string) int {
 	}
 	body, err := fetch(base + p)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	os.Stdout.Write(body)
 	if len(body) > 0 && body[len(body)-1] != '\n' {
@@ -131,8 +123,7 @@ func watchStats(base string, interval time.Duration, samples int) int {
 		}
 		body, err := fetch(base + "/v1/stats")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return failure(err)
 		}
 		var s watchSample
 		if err := json.Unmarshal(body, &s); err != nil {

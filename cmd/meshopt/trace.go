@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -35,71 +34,25 @@ func runTrace(args []string) int {
 	return 2
 }
 
-// traceTarget parses the target-before-or-after-flags convention the
-// other subcommands use.
-func traceTarget(fs *flag.FlagSet, args []string) string {
-	var target string
-	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		target, args = args[0], args[1:]
-	}
-	fs.Parse(args)
-	if target == "" && fs.NArg() > 0 {
-		target = fs.Arg(0)
-	}
-	return target
-}
-
 // runTraceRecord runs a target with capture enabled: the output stream
 // is the ordinary run's stream (byte-identical in its non-trace lines)
 // plus the "trace"-series records each cell captured.
 func runTraceRecord(args []string) int {
-	fs := flag.NewFlagSet("meshopt trace record", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "experiment seed")
-	scaleName := fs.String("scale", "quick", "experiment scale: quick or paper")
-	workers := fs.Int("workers", 0, "experiment worker pool size; 0 = GOMAXPROCS")
-	out := fs.String("o", "", "write the recorded stream to this file (default: stdout)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt trace record <n|name|scenario|spec.json> [flags]")
-		fs.PrintDefaults()
+	f := newFlags("trace record", "<n|name|scenario|spec.json> [flags]", withTarget|withWorkers|withOut)
+	target, code, ok := f.parseTarget(args)
+	if !ok {
+		return code
 	}
-	target := traceTarget(fs, args)
-	if target == "" {
-		fs.Usage()
-		return 2
-	}
-	ti, err := resolveShardable(target)
+	j, err := f.resolve(target)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
-	sc, err := parseScale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	runner.SetWorkers(*workers)
-	recordW, logW, closeOut, err := openRecords(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	snk := sink.NewJSONL(recordW)
-
 	start := time.Now()
-	res, err := exp.Run(ti.e, seedOrDefault(fs, *seed, ti.seed), sc, exp.Options{
-		Sink:    snk,
+	res, logW, err := f.run(j, "jsonl", exp.Options{
 		Capture: func(exp.Cell) exp.Capture { return trace.NewCellCapture() },
 	})
-	if cerr := snk.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := closeOut(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
 	res.Print(logW)
 	fmt.Fprintf(logW, "recorded in %v\n", time.Since(start).Round(time.Millisecond))
@@ -111,50 +64,37 @@ func runTraceRecord(args []string) int {
 // capture, and the re-captured decisions are diffed against the
 // recording. Exit 0 iff every delivery decision matched.
 func runTraceReplay(args []string) int {
-	fs := flag.NewFlagSet("meshopt trace replay", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "experiment seed (must match the recording)")
-	scaleName := fs.String("scale", "quick", "experiment scale (must match the recording)")
-	workers := fs.Int("workers", 0, "experiment worker pool size; 0 = GOMAXPROCS")
-	traceFile := fs.String("trace", "", "recorded stream to replay against (required)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: meshopt trace replay <n|name|scenario|spec.json> -trace recorded.jsonl [flags]")
-		fs.PrintDefaults()
+	f := newFlags("trace replay", "<n|name|scenario|spec.json> -trace recorded.jsonl [flags]", withTarget|withWorkers)
+	traceFile := f.String("trace", "", "recorded stream to replay against (required; -seed and -scale must match the recording)")
+	target, code, ok := f.parseTarget(args)
+	if !ok {
+		return code
 	}
-	target := traceTarget(fs, args)
-	if target == "" || *traceFile == "" {
-		fs.Usage()
+	if *traceFile == "" {
+		f.Usage()
 		return 2
 	}
-	ti, err := resolveShardable(target)
+	j, err := f.resolve(target)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	sc, err := parseScale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
 	recorded, err := loadTrace(*traceFile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
 
-	runner.SetWorkers(*workers)
+	runner.SetWorkers(*f.workers)
 	set := trace.NewCaptureSet()
 	start := time.Now()
-	_, err = exp.Run(ti.e, seedOrDefault(fs, *seed, ti.seed), sc, exp.Options{
+	_, err = exp.Run(j.e, j.Seed, j.sc, exp.Options{
 		Sink: sink.Discard,
 		Capture: func(c exp.Cell) exp.Capture {
 			return set.Add(c.Index, trace.NewCellCaptureReplay(trace.NewReplay(recorded[c.Index])))
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return failure(err)
 	}
-
 	replayed := trace.Trace{}
 	for cell, c := range set.Captures() {
 		replayed[cell] = c.Collector()
@@ -186,13 +126,11 @@ func runTraceDiff(args []string) int {
 	}
 	a, err := loadTrace(args[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
 	b, err := loadTrace(args[1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return usageError(err)
 	}
 	rep := trace.Diff(a, b)
 	rep.Print(os.Stdout)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -654,5 +655,36 @@ func TestWorkerAnswersCellPanicAndServesNext(t *testing.T) {
 	}
 	if records != 3+10 {
 		t.Fatalf("%d record lines, want 3 before the panic and 10 after", records)
+	}
+}
+
+// TestTemplateWorkerKillReachesEOF: a template worker runs under
+// /bin/sh, which forks the command that holds stdout. Kill must take
+// that child too, so Out reaches EOF promptly rather than when the
+// child exits on its own.
+func TestTemplateWorkerKillReachesEOF(t *testing.T) {
+	// The shell forks sleep before it echoes, so once "ready" arrives a
+	// child holds Out open.
+	w, err := TemplateSpawner("sleep 30 & echo ready; wait", nil).Spawn(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := bufio.NewReader(w.Out)
+	if line, err := out.ReadString('\n'); line != "ready\n" {
+		t.Fatalf("first line %q (%v), want ready", line, err)
+	}
+	eof := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, out)
+		close(eof)
+	}()
+	w.Kill()
+	select {
+	case <-eof:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Out still open 2s after Kill: the shell's child survived")
+	}
+	if err := w.Wait(); err == nil {
+		t.Fatal("Wait returned nil for a killed worker")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"syscall"
 )
 
 // A Worker is one live worker process (or in-process equivalent)
@@ -48,6 +49,17 @@ func (s *ExecSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 	argv := s.Argv(slot)
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
 	cmd.Stderr = s.Stderr
+	// Each worker leads its own process group, and a kill takes the
+	// whole group: a template's /bin/sh may have forked the real worker,
+	// which would otherwise keep Out open after the shell dies.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	kill := func() error {
+		if err := syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL); err != syscall.ESRCH {
+			return err
+		}
+		return os.ErrProcessDone
+	}
+	cmd.Cancel = kill
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
@@ -62,9 +74,8 @@ func (s *ExecSpawner) Spawn(ctx context.Context, slot int) (*Worker, error) {
 	return &Worker{
 		In:  stdin,
 		Out: stdout,
-		// Process.Kill is idempotent enough for our purposes: after the
-		// process is reaped it returns ErrProcessDone, which we drop.
-		Kill: func() { _ = cmd.Process.Kill() },
+		// A group that is already gone is not an error here.
+		Kill: func() { _ = kill() },
 		Wait: cmd.Wait,
 	}, nil
 }

@@ -22,8 +22,8 @@ import (
 // record a cell produces plus one trailing "summary" record carrying
 // the cell's one-line human summary. The summary record also guarantees
 // the ≥1-record-per-cell contract the shard/merge validation relies on
-// (see exp.RecordStreamer). Note the stream therefore differs from
-// `meshopt run <name>` output exactly by those summary records.
+// (see exp.RecordStreamer). `meshopt fig <name>` runs scenarios
+// through this adapter, so its stream carries those summary records.
 func Experiment(spec *Spec) (exp.Experiment, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 // builtins are the named walk-through scenarios (quickstart, capacity,
 // fairness, starvation), plus fig10/fig14 entries that delegate to the
 // experiment registry. Each is a plain
-// Spec literal; `meshopt run <name>` executes it and `meshopt list`
+// Spec literal; `meshopt fig <name>` executes it and `meshopt list`
 // enumerates the non-delegate ones (figures are listed from the
 // experiment registry directly).
 var builtins = []*Spec{

@@ -7,7 +7,7 @@
 //
 // A registry of named built-in scenarios holds the walk-through
 // workloads as data, and the fig10/fig14 entries drive the ported figure
-// suites through the same spec + sink plumbing (see cmd/meshopt's `run`
+// suites through the same spec + sink plumbing (see cmd/meshopt's `fig`
 // and `list` subcommands).
 package scenario
 

@@ -223,22 +223,27 @@ func (s *Server) sweepJobs(now time.Time) int {
 
 	evicted := 0
 	for _, j := range expired {
+		ok := true
+		var vsp *span.Span
 		if j.snapshot().state == stateDone {
 			// Revalidate, not Lookup: eviction relies on the entry being
 			// genuinely servable, so the index fast path is not enough —
 			// a stale fingerprint match must not free a job whose entry
-			// rotted on disk.
-			vsp := j.span.Child("cache.validate")
-			_, _, _, ok := s.cache.Revalidate(j.key)
+			// rotted on disk. An invalid entry keeps the job: eviction
+			// would cost a recompute.
+			vsp = j.span.Child("cache.validate")
+			_, _, _, ok = s.cache.Revalidate(j.key)
 			vsp.End()
-			if !ok {
-				continue // entry invalid: eviction would cost a recompute
-			}
 		}
 		s.mu.Lock()
-		// Re-check under the lock: a resubmission may have replaced the
-		// expired job with a fresh (non-terminal) one in the meantime.
-		if cur := s.jobs[j.key]; cur == j && terminal(cur.snapshot().state) {
+		// Re-check under the lock: another sweep may have evicted the job,
+		// or a resubmission replaced it, in the meantime. Either dropped
+		// its trace under this lock, so the validation span recorded
+		// since would be left without a parent.
+		switch cur := s.jobs[j.key]; {
+		case cur != j:
+			s.trace.Drop(vsp)
+		case ok && terminal(cur.snapshot().state):
 			delete(s.jobs, j.key)
 			s.trace.Drop(j.span)
 			evicted++
@@ -678,7 +683,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // bytes are copied as they appear and the handler waits on the job's
 // update channel between chunks, so clients receive cells as the
 // engine (or the coordinator's merge frontier) completes them. The
-// bytes are exactly what `meshopt fig`/`meshopt run` would write to
+// bytes are exactly what `meshopt fig` would write to
 // stdout for the same job — the completion marker lives beyond the
 // published byte range and is never sent. ?from=N skips records of
 // cells below N (a client-side resume offset).

@@ -76,8 +76,8 @@ go test ./internal/scenario/sink -run '^$' -fuzz '^FuzzParseDoneMarker$' -fuzzti
 echo "== scenario schema gate (round-trip parse/marshal goldens)"
 go test ./internal/scenario -run 'TestGolden|TestBuiltinsMarshalParse' -count=1
 
-echo "== scenario smoke (meshopt run quickstart at quick scale)"
-go run ./cmd/meshopt run quickstart -scale quick -o /dev/null
+echo "== scenario smoke (meshopt fig quickstart at quick scale)"
+go run ./cmd/meshopt fig quickstart -scale quick -o /dev/null
 
 echo "== shard smoke (fig10 as 2 shards + merge == unsharded, byte-for-byte)"
 SHARD_TMP="$(mktemp -d)"
@@ -129,23 +129,33 @@ MESHOPT_FAULT='seed=7,1/kill@2x1,2/slow=5ms' "$SHARD_TMP/meshopt" coord 10 -scal
 cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/chaos.jsonl"
 cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/chaos/merged.jsonl"
 
-echo "== tracing smoke (coord -trace: report decomposes the capture, record bytes untouched)"
+echo "== template-pool smoke (coord -worker-cmd: a hung worker under /bin/sh is killed at -timeout, bytes identical)"
+# Shard 1's first attempt wedges after 2 records. The template runs the
+# worker under a shell, so -timeout must kill the shell's whole process
+# group for the attempt to end and be retried.
+MESHOPT_FAULT='1/hang@2x1' "$SHARD_TMP/meshopt" coord 10 -scale quick -seed 4 -shards 3 -workers 2 \
+    -worker-cmd "$SHARD_TMP/meshopt work" -timeout 2s -progress -dir "$SHARD_TMP/tpool" \
+    -o "$SHARD_TMP/tpool.jsonl" >/dev/null 2>"$SHARD_TMP/tpool.log"
+cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/tpool.jsonl"
+grep -Eq 'merged ([0-9]+)/\1 cells' "$SHARD_TMP/tpool.log"
+
+echo "== tracing smoke (coord -spans: report decomposes the capture, record bytes untouched)"
 # A traced 3-worker coord run must leave the merged stream byte-identical
 # to the untraced unsharded run (spans are out-of-band), and `meshopt
 # report` over the capture must decompose it: a nonempty critical path
 # and per-slot accounting.
 "$SHARD_TMP/meshopt" coord 10 -scale quick -seed 4 -shards 3 -workers 3 -dir "$SHARD_TMP/trun" \
-    -trace "$SHARD_TMP/coord.trace.json" -o "$SHARD_TMP/traced.jsonl" >/dev/null 2>&1
+    -spans "$SHARD_TMP/coord.spans.json" -o "$SHARD_TMP/traced.jsonl" >/dev/null 2>&1
 cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/traced.jsonl"
 cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/trun/merged.jsonl"
-"$SHARD_TMP/meshopt" report "$SHARD_TMP/coord.trace.json" >"$SHARD_TMP/report.txt"
+"$SHARD_TMP/meshopt" report "$SHARD_TMP/coord.spans.json" >"$SHARD_TMP/report.txt"
 grep -q 'critical path (' "$SHARD_TMP/report.txt"
 grep -q 'dispatch' "$SHARD_TMP/report.txt"
 grep -q 'slots: ' "$SHARD_TMP/report.txt"
 
-echo "== broadcast smoke (dissemination family: run + 2-shard merge + chaos-steal coord, bytes identical)"
+echo "== broadcast smoke (dissemination family: fig + spec file + 2-shard merge + chaos-steal coord, bytes identical)"
 "$SHARD_TMP/meshopt" fig broadcast -scale quick -seed 4 -o "$SHARD_TMP/bc.jsonl" >/dev/null
-"$SHARD_TMP/meshopt" run examples/broadcast.json -scale quick -o /dev/null
+"$SHARD_TMP/meshopt" fig examples/broadcast.json -scale quick -o /dev/null
 "$SHARD_TMP/meshopt" fig broadcast -scale quick -seed 4 -shard 0/2 -o "$SHARD_TMP/bc0.jsonl" >/dev/null
 "$SHARD_TMP/meshopt" fig broadcast -scale quick -seed 4 -shard 1/2 -o "$SHARD_TMP/bc1.jsonl" >/dev/null
 "$SHARD_TMP/meshopt" merge -o "$SHARD_TMP/bcm.jsonl" "$SHARD_TMP/bc0.jsonl" "$SHARD_TMP/bc1.jsonl" >/dev/null
@@ -171,16 +181,22 @@ if "$SHARD_TMP/meshopt" trace diff "$SHARD_TMP/rec4.jsonl" "$SHARD_TMP/rec5.json
 fi
 
 echo "== serve smoke (submit fig10 twice: cold compute, then cache hit; both byte == meshopt fig)"
-"$SHARD_TMP/meshopt" serve -addr 127.0.0.1:0 -cache "$SHARD_TMP/cache" \
-    >"$SHARD_TMP/serve.out" 2>"$SHARD_TMP/serve.log" &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 100); do
-    ADDR="$(sed -n 's/.*listening on \(http:[^ ]*\).*/\1/p' "$SHARD_TMP/serve.out")"
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-test -n "$ADDR" || { cat "$SHARD_TMP/serve.log" >&2; exit 1; }
+# start_serve NAME [flags]: start a server on a free port with its
+# output in $SHARD_TMP/NAME.{out,log}; sets SERVE_PID and ADDR.
+start_serve() {
+    local name="$1"
+    shift
+    "$SHARD_TMP/meshopt" serve -addr 127.0.0.1:0 "$@" >"$SHARD_TMP/$name.out" 2>"$SHARD_TMP/$name.log" &
+    SERVE_PID=$!
+    ADDR=""
+    for _ in $(seq 100); do
+        ADDR="$(sed -n 's/.*listening on \(http:[^ ]*\).*/\1/p' "$SHARD_TMP/$name.out")"
+        [ -n "$ADDR" ] && break
+        sleep 0.1
+    done
+    test -n "$ADDR" || { cat "$SHARD_TMP/$name.log" >&2; exit 1; }
+}
+start_serve serve -cache "$SHARD_TMP/cache"
 "$SHARD_TMP/meshopt" submit 10 -addr "$ADDR" -scale quick -seed 4 \
     -o "$SHARD_TMP/sub1.jsonl" >/dev/null 2>"$SHARD_TMP/sub1.log"
 "$SHARD_TMP/meshopt" submit 10 -addr "$ADDR" -scale quick -seed 4 \
@@ -216,6 +232,18 @@ grep -q 'Δdone' "$SHARD_TMP/watch.txt"
 grep -qi 'pprof' "$SHARD_TMP/pprof.html"
 grep -q '^# TYPE meshopt_build_info gauge' "$SHARD_TMP/metrics.txt"
 grep -Eq '^meshopt_queue_wait_seconds_count [1-9]' "$SHARD_TMP/metrics.txt"
+kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null
+SERVE_PID=""
+
+echo "== serve import smoke (a coord run directory imported into a fresh cache serves hits, byte == meshopt fig)"
+start_serve serve2 -cache "$SHARD_TMP/cache2" -import "$SHARD_TMP/chaos"
+"$SHARD_TMP/meshopt" submit 10 -addr "$ADDR" -scale quick -seed 4 \
+    -o "$SHARD_TMP/isub.jsonl" >/dev/null 2>"$SHARD_TMP/isub.log"
+grep -q "cache: hit" "$SHARD_TMP/isub.log"
+cmp "$SHARD_TMP/full.jsonl" "$SHARD_TMP/isub.jsonl"
+"$SHARD_TMP/meshopt" submit 10 -addr "$ADDR" -scale quick -seed 4 -from 20 \
+    -o "$SHARD_TMP/ifrom.jsonl" >/dev/null 2>/dev/null
+tail -n +21 "$SHARD_TMP/full.jsonl" | cmp - "$SHARD_TMP/ifrom.jsonl"
 kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null
 SERVE_PID=""
 
