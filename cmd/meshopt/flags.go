@@ -14,7 +14,6 @@ import (
 	"repro/internal/experiments/exp"
 	"repro/internal/experiments/runner"
 	"repro/internal/obs/span"
-	"repro/internal/scenario"
 	"repro/internal/scenario/sink"
 )
 
@@ -115,50 +114,44 @@ type job struct {
 }
 
 // resolve maps a target to its job. The target is a figure number, a
-// registry name or alias, a registered scenario name, or a scenario
-// spec file; scenarios resolve through the scenario→experiment adapter,
-// so their sweeps run and shard like figures. The seed is -seed when
-// set, else the target's own default. Every error is a usage error.
+// name the job resolver accepts (dist.Catalogue), or a scenario spec
+// file, which travels inline. The seed is -seed when set, else the
+// target's own default; an alias becomes its canonical name. Every
+// error is a usage error.
 func (f *cmdFlags) resolve(target string) (*job, error) {
 	j := &job{Job: dist.Job{Experiment: target, Seed: 1, Scale: *f.scale}}
 	if f.shards != nil {
 		j.Shards = *f.shards
 	}
-	name := target
 	if n, err := strconv.Atoi(target); err == nil {
-		name = fmt.Sprintf("fig%d", n)
+		j.Experiment = fmt.Sprintf("fig%d", n)
 	}
-	spec, isScenario := scenario.Lookup(target)
-	if e, ok := exp.Find(name); ok {
-		j.e, j.Experiment = e, e.Name()
-	} else if !isScenario {
-		data, err := os.ReadFile(target)
-		if err != nil {
-			return nil, fmt.Errorf("unknown target %q (not a figure, registered experiment, scenario name or readable spec file)\nregistered experiments: %v\nregistered scenarios: %v",
-				target, exp.Names(), scenario.Names())
+	e, spec, err := j.Target()
+	if err != nil {
+		if j.Spec, err = os.ReadFile(target); err != nil {
+			var names []string
+			for _, c := range dist.Catalogue() {
+				names = append(names, c.Name)
+			}
+			return nil, fmt.Errorf("unknown target %q (not a figure number, registered name or readable spec file)\nregistered: %v",
+				target, names)
 		}
-		if spec, err = scenario.Parse(data); err != nil {
+		if e, spec, err = j.Target(); err != nil {
 			return nil, err
 		}
-		j.Experiment, j.Spec = spec.Name, data
 	}
-	if j.e == nil {
-		var err error
-		if j.e, err = scenario.Experiment(spec); err != nil {
-			return nil, err
-		}
-		j.Seed = spec.Seed
+	if e != nil {
+		j.Experiment = e.Name()
+	} else {
+		j.Experiment, j.Seed = spec.Name, spec.Seed
 	}
 	f.Visit(func(fl *flag.Flag) {
 		if fl.Name == "seed" {
 			j.Seed = *f.seed
 		}
 	})
-	// The worker protocol resolves scale names through the same table,
-	// so the CLI and remote workers cannot diverge on what one means.
-	var ok bool
-	if j.sc, ok = exp.NamedScale(j.Scale); !ok {
-		return nil, fmt.Errorf("unknown scale %q (want quick or paper)", j.Scale)
+	if j.e, j.sc, err = j.Resolve(); err != nil {
+		return nil, err
 	}
 	return j, nil
 }

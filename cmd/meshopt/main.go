@@ -81,7 +81,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
@@ -91,7 +90,6 @@ import (
 	"repro/internal/experiments/exp"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/scenario"
 )
 
 func main() { os.Exit(dispatch(os.Args[1:])) }
@@ -133,30 +131,11 @@ func dispatch(args []string) int {
 	return 2
 }
 
-// list enumerates figure experiments and registered scenarios in one
-// table.
+// list prints every name the job resolver accepts in one table.
 func list(w io.Writer) {
 	fmt.Fprintf(w, "%-12s %-9s %s\n", "NAME", "KIND", "DESCRIPTION")
-	for _, name := range exp.Names() {
-		e, _ := exp.Find(name)
-		fmt.Fprintf(w, "%-12s %-9s %s\n", name, "figure", e.Describe())
-	}
-	names := scenario.Names()
-	sort.Strings(names)
-	for _, n := range names {
-		if spec, ok := scenario.Lookup(n); ok && spec.Figure != 0 {
-			continue // figure delegates already listed above
-		}
-		fmt.Fprintf(w, "%-12s %-9s %s\n", n, "scenario", scenario.Describe(n))
-	}
-	aliases := exp.Aliases()
-	var as []string
-	for a := range aliases {
-		as = append(as, a)
-	}
-	sort.Strings(as)
-	for _, a := range as {
-		fmt.Fprintf(w, "%-12s %-9s alias of %s\n", a, "figure", aliases[a])
+	for _, c := range dist.Catalogue() {
+		fmt.Fprintf(w, "%-12s %-9s %s\n", c.Name, c.Kind, c.Description)
 	}
 	fmt.Fprintln(w, "\nRun any of them, or a scenario spec file, with `meshopt fig <n|name|spec.json>`.")
 }

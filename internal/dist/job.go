@@ -23,8 +23,10 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/experiments/exp"
 	"repro/internal/scenario"
@@ -33,7 +35,8 @@ import (
 // Job names one shardable run. Everything a worker needs to reproduce
 // its residue class rides in the Job — names resolve against the
 // registries compiled into the binary, and file-based scenario specs
-// travel inline as Spec so a remote worker never needs the file.
+// travel inline as Spec so a remote worker never needs the file. The
+// same JSON is run.json's job and the body of serve's POST /v1/jobs.
 type Job struct {
 	// Experiment is the registry name (fig3..fig14, netvalid,
 	// exhaustive, an alias) or a registered scenario name.
@@ -51,37 +54,72 @@ type Job struct {
 	Shards int `json:"shards"`
 }
 
-// Resolve maps the job to its experiment and scale. Both the
-// coordinator and every worker resolve the same Job, so the cell
-// enumeration — a pure function of (seed, scale) — is identical on
-// every process.
+// Target resolves the job's name to the work it names; it is the one
+// place a name becomes work. Exactly one result is non-nil: the
+// registry experiment (an alias gives its canonical experiment), or
+// else the scenario spec, inline or registered.
+func (j Job) Target() (exp.Experiment, *scenario.Spec, error) {
+	if len(j.Spec) > 0 {
+		spec, err := scenario.Parse(j.Spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, spec, nil
+	}
+	if e, ok := exp.Find(j.Experiment); ok {
+		return e, nil, nil
+	}
+	if spec, ok := scenario.Lookup(j.Experiment); ok {
+		return nil, spec, nil
+	}
+	return nil, nil, fmt.Errorf("dist: %q is neither a registered experiment nor a scenario", j.Experiment)
+}
+
+// Resolve maps the job to its experiment and scale; a scenario runs
+// through the scenario→experiment adapter. Both the coordinator and
+// every worker resolve the same Job, so the cell enumeration — a pure
+// function of (seed, scale) — is identical on every process.
 func (j Job) Resolve() (exp.Experiment, exp.Scale, error) {
 	sc, ok := exp.NamedScale(j.Scale)
 	if !ok {
 		return nil, exp.Scale{}, fmt.Errorf("dist: unknown scale %q (want quick or paper)", j.Scale)
 	}
-	if len(j.Spec) > 0 {
-		spec, err := scenario.Parse(j.Spec)
-		if err != nil {
-			return nil, exp.Scale{}, err
-		}
-		e, err := scenario.Experiment(spec)
-		if err != nil {
-			return nil, exp.Scale{}, err
-		}
-		return e, sc, nil
+	e, spec, err := j.Target()
+	if err == nil && spec != nil {
+		e, err = scenario.Experiment(spec)
 	}
-	if e, ok := exp.Find(j.Experiment); ok {
-		return e, sc, nil
+	if err != nil {
+		return nil, exp.Scale{}, err
 	}
-	if spec, ok := scenario.Lookup(j.Experiment); ok {
-		e, err := scenario.Experiment(spec)
-		if err != nil {
-			return nil, exp.Scale{}, err
-		}
-		return e, sc, nil
+	return e, sc, nil
+}
+
+// Entry is one name Target accepts, as `meshopt list` and GET
+// /v1/experiments show it.
+type Entry struct {
+	Name        string `json:"name"`
+	Kind        string `json:"kind"` // "figure", "scenario" or "alias"
+	Description string `json:"description"`
+}
+
+// Catalogue lists every name Target accepts: the registered
+// experiments in registration order, then the scenarios and the
+// aliases, each sorted.
+func Catalogue() []Entry {
+	var out []Entry
+	for _, name := range exp.Names() {
+		e, _ := exp.Find(name)
+		out = append(out, Entry{Name: name, Kind: "figure", Description: e.Describe()})
 	}
-	return nil, exp.Scale{}, fmt.Errorf("dist: %q is neither a registered experiment nor a scenario", j.Experiment)
+	for _, name := range scenario.Names() {
+		spec, _ := scenario.Lookup(name)
+		out = append(out, Entry{Name: name, Kind: "scenario", Description: spec.Description})
+	}
+	aliases := exp.Aliases()
+	for _, alias := range slices.Sorted(maps.Keys(aliases)) {
+		out = append(out, Entry{Name: alias, Kind: "alias", Description: "alias of " + aliases[alias]})
+	}
+	return out
 }
 
 // manifestVersion guards run-directory layout changes.

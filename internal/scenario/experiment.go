@@ -14,8 +14,7 @@ import (
 // which is what lets a swept scenario ride the whole shard machinery:
 // `meshopt fig <scenario> -shard i/k`, `meshopt merge`, and the
 // `meshopt coord` distributed coordinator all accept scenario names
-// because of this adapter. A spec that delegates to a figure
-// (`"figure": N`) resolves straight to the registered figure experiment.
+// because of this adapter.
 //
 // The adapter enumerates one cell per sweep point (the same row-major,
 // last-axis-fastest expansion the scenario engine uses) and emits every
@@ -27,13 +26,6 @@ import (
 func Experiment(spec *Spec) (exp.Experiment, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.Figure != 0 {
-		e, ok := exp.Find(fmt.Sprintf("fig%d", spec.Figure))
-		if !ok {
-			return nil, fmt.Errorf("scenario %q: figure %d has no registered experiment", spec.Name, spec.Figure)
-		}
-		return e, nil
 	}
 	if spec.Broadcast != nil {
 		return broadcastExperiment(spec)

@@ -101,17 +101,3 @@ func TestScenarioExperimentShardMergeByteIdentical(t *testing.T) {
 		t.Fatalf("sweep result %+v", res)
 	}
 }
-
-func TestScenarioExperimentFigureDelegate(t *testing.T) {
-	spec, ok := Lookup("fig10")
-	if !ok {
-		t.Fatal("fig10 scenario not registered")
-	}
-	e, err := Experiment(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Name() != "fig10" {
-		t.Fatalf("figure delegate resolved to %q, want the registered fig10 experiment", e.Name())
-	}
-}

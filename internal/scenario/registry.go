@@ -3,20 +3,12 @@ package scenario
 import (
 	"fmt"
 	"sort"
-
-	// The fig10/fig14 builtins validate against the experiment
-	// registry at init, so the figure suites must be registered before
-	// this package initializes (engine.go used to pull experiments in
-	// for its Scale type; the run port removed that dependency).
-	_ "repro/internal/experiments"
 )
 
 // builtins are the named walk-through scenarios (quickstart, capacity,
-// fairness, starvation), plus fig10/fig14 entries that delegate to the
-// experiment registry. Each is a plain
-// Spec literal; `meshopt fig <name>` executes it and `meshopt list`
-// enumerates the non-delegate ones (figures are listed from the
-// experiment registry directly).
+// fairness, starvation). Each is a plain Spec literal; `meshopt fig
+// <name>` executes it and `meshopt list` enumerates it beside the
+// experiment registry (see dist.Catalogue).
 var builtins = []*Spec{
 	{
 		Name:        "quickstart",
@@ -109,18 +101,6 @@ var builtins = []*Spec{
 			{Name: "regime", Values: []float64{0, 1, 2}},
 		},
 	},
-	{
-		Name:        "fig10",
-		Description: "Fig. 10 channel-loss estimator accuracy suite, delegated to the experiment registry (error CDF + RMSE vs probing window)",
-		Seed:        1,
-		Figure:      10,
-	},
-	{
-		Name:        "fig14",
-		Description: "Fig. 14 multi-config TCP suite, delegated to the experiment registry (throughput ratios, fairness, feasibility, stability)",
-		Seed:        1,
-		Figure:      14,
-	},
 }
 
 // Lookup returns the built-in scenario registered under name.
@@ -142,14 +122,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Describe returns the one-line description of a registered scenario.
-func Describe(name string) string {
-	if s, ok := Lookup(name); ok {
-		return s.Description
-	}
-	return ""
 }
 
 func init() {

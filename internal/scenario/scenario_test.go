@@ -218,22 +218,6 @@ func TestRunFairnessSweep(t *testing.T) {
 	}
 }
 
-// TestRunFigureSpec drives the fig10 registry entry through the engine.
-func TestRunFigureSpec(t *testing.T) {
-	spec, _ := Lookup("fig10")
-	mem := new(sink.Memory)
-	var log bytes.Buffer
-	if err := runSpec(spec, mem, 4, &log); err != nil {
-		t.Fatal(err)
-	}
-	if len(mem.Records()) == 0 {
-		t.Fatal("fig10 streamed no records")
-	}
-	if !strings.Contains(log.String(), "Figure 10") {
-		t.Fatalf("fig10 summary missing: %s", log.String())
-	}
-}
-
 // TestValidateRejects covers the schema guard rails.
 func TestValidateRejects(t *testing.T) {
 	cases := []struct {
@@ -246,7 +230,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad rate", `{"name":"x","topology":{"kind":"chain","nodes":3,"spacing_m":70,"rate":"3Mbps"},"measure":{"duration_sec":1}}`, "rate"},
 		{"flow out of range", `{"name":"x","topology":{"kind":"chain","nodes":3,"spacing_m":70,"rate":"11Mbps"},"traffic":[{"src":0,"dst":9,"transport":"tcp"}],"measure":{"duration_sec":1}}`, "out of range"},
 		{"bad axis", `{"name":"x","topology":{"kind":"chain","nodes":3,"spacing_m":70,"rate":"11Mbps"},"traffic":[{"src":0,"dst":1,"transport":"tcp"}],"measure":{"duration_sec":1},"sweep":[{"name":"phase","values":[1]}]}`, "sweep axis"},
-		{"unregistered figure", `{"name":"x","figure":99}`, "no registered experiment"},
+		{"figure delegate", `{"name":"x","figure":10}`, `unknown field "figure"`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -275,7 +259,7 @@ func TestNaNGoodputSerializes(t *testing.T) {
 // TestLookupAndNames covers the registry surface.
 func TestLookupAndNames(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"quickstart", "capacity", "fairness", "starvation", "fig10", "fig14"} {
+	for _, want := range []string{"quickstart", "capacity", "fairness", "starvation"} {
 		found := false
 		for _, n := range names {
 			if n == want {

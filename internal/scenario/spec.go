@@ -6,9 +6,8 @@
 // deterministic cell order (bit-identical output for any worker count).
 //
 // A registry of named built-in scenarios holds the walk-through
-// workloads as data, and the fig10/fig14 entries drive the ported figure
-// suites through the same spec + sink plumbing (see cmd/meshopt's `fig`
-// and `list` subcommands).
+// workloads as data (see cmd/meshopt's `fig` and `list` subcommands);
+// the figure suites live in the experiment registry, not here.
 package scenario
 
 import (
@@ -18,7 +17,6 @@ import (
 	"math"
 
 	"repro/internal/broadcast"
-	"repro/internal/experiments/exp"
 	"repro/internal/phy"
 )
 
@@ -40,10 +38,6 @@ type Spec struct {
 	// Sweep axes expand into the cross product of their values, one
 	// simulation cell per point, last axis fastest.
 	Sweep []Axis `json:"sweep,omitempty"`
-	// Figure delegates the run to the figure suite registered as
-	// "fig<n>" in the experiment registry instead of the declarative
-	// engine; the other workload fields are ignored.
-	Figure int `json:"figure,omitempty"`
 	// Broadcast switches the workload to the event-driven
 	// dissemination engine: the topology is built as usual, then swept
 	// as (root × relay policy × repetition) cells. Traffic, controller,
@@ -51,8 +45,7 @@ type Spec struct {
 	Broadcast *BroadcastSpec `json:"broadcast,omitempty"`
 	// Trace turns on per-link delivery capture: every cell records its
 	// channel decisions and appends them as "trace"-series records
-	// after its result rows (see internal/trace). Figure-delegating
-	// specs reject it; use `meshopt trace record fig<n>` instead.
+	// after its result rows (see internal/trace).
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -266,16 +259,6 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name is required")
 	}
-	if s.Figure != 0 {
-		if _, ok := exp.Find(fmt.Sprintf("fig%d", s.Figure)); !ok {
-			return fail("figure %d has no registered experiment", s.Figure)
-		}
-		if s.Trace {
-			return fail("trace is not supported on figure-delegating specs; use `meshopt trace record fig%d`", s.Figure)
-		}
-		return nil
-	}
-
 	t := &s.Topology
 	phyOK, known := topologyKinds[t.Kind]
 	if !known {

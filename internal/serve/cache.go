@@ -41,7 +41,7 @@ type canonicalJob struct {
 }
 
 // JobKey derives the content-address of a job's result: the SHA-256 of
-// its canonical form. Spellings that produce identical bytes map to one
+// the canonical form of what dist.Job.Target resolves it to. Spellings that produce identical bytes map to one
 // key — an alias and its canonical experiment name, a registered
 // scenario name and the identical inline spec — so the cache, the
 // single-flight table and the job API all coalesce them.
@@ -49,24 +49,15 @@ func JobKey(job dist.Job) (string, error) {
 	if _, ok := exp.NamedScale(job.Scale); !ok {
 		return "", fmt.Errorf("serve: unknown scale %q (want quick or paper)", job.Scale)
 	}
-	canon := canonicalJob{Version: keyVersion, Seed: job.Seed, Scale: job.Scale}
-	switch {
-	case len(job.Spec) > 0:
-		spec, err := scenario.Parse(job.Spec)
-		if err != nil {
-			return "", err
-		}
+	e, spec, err := job.Target()
+	if err != nil {
+		return "", err
+	}
+	canon := canonicalJob{Version: keyVersion, Kind: "experiment", Seed: job.Seed, Scale: job.Scale}
+	if e != nil {
+		canon.Name = e.Name()
+	} else {
 		canon.Kind, canon.Spec = "scenario", mustCompactSpec(spec)
-	default:
-		if e, ok := exp.Find(job.Experiment); ok {
-			canon.Kind, canon.Name = "experiment", e.Name()
-			break
-		}
-		if spec, ok := scenario.Lookup(job.Experiment); ok {
-			canon.Kind, canon.Spec = "scenario", mustCompactSpec(spec)
-			break
-		}
-		return "", fmt.Errorf("serve: %q is neither a registered experiment nor a scenario", job.Experiment)
 	}
 	raw, err := json.Marshal(canon)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/experiments/exp"
-	"repro/internal/scenario"
 )
 
 // jobKeyGoldens pins the content address of every registered name at
@@ -60,17 +59,37 @@ func TestJobKeyGoldens(t *testing.T) {
 		}
 	}
 
-	names := append(exp.Names(), scenario.Names()...)
-	for alias := range exp.Aliases() {
-		names = append(names, alias)
-	}
 	toys := map[string]bool{}
 	for _, e := range []exp.Experiment{toyServe{}, toyPanic{}, toyWide{}, toyReducePanic{}} {
 		toys[e.Name()] = true
 	}
-	for _, name := range names {
-		if !pinned[name] && !toys[name] {
-			t.Errorf("registered name %q has no pinned JobKey", name)
+	for _, c := range dist.Catalogue() {
+		if !pinned[c.Name] && !toys[c.Name] {
+			t.Errorf("catalogue name %q has no pinned JobKey", c.Name)
+		}
+	}
+}
+
+// TestCatalogueResolvesOnce checks that every catalogue name resolves,
+// that an alias gets its target's key, and that no name is listed
+// twice: a duplicate is how a name comes to shadow another.
+func TestCatalogueResolvesOnce(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range dist.Catalogue() {
+		if seen[c.Name] {
+			t.Errorf("%q is listed twice", c.Name)
+		}
+		seen[c.Name] = true
+		j := dist.Job{Experiment: c.Name, Seed: 1, Scale: "quick"}
+		if _, _, err := j.Resolve(); err != nil {
+			t.Errorf("%s: %v", c.Name, err)
+			continue
+		}
+		e, _, _ := j.Target()
+		if c.Kind == "alias" {
+			if want := mustKey(t, dist.Job{Experiment: e.Name(), Seed: 1, Scale: "quick"}); mustKey(t, j) != want {
+				t.Errorf("alias %s and its target %s have different keys", c.Name, e.Name())
+			}
 		}
 	}
 }

@@ -695,7 +695,7 @@ func TestExperimentsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var list []experimentInfo
+	var list []dist.Entry
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}

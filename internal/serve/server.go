@@ -38,7 +38,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,10 +45,8 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/experiments/exp"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/scenario"
 	"repro/internal/scenario/sink"
 )
 
@@ -371,17 +368,6 @@ func (s *Server) execute(j *job) {
 	s.enforceQuota()
 }
 
-// submitRequest is the POST /v1/jobs body. Exactly one of Experiment
-// (a registered figure/scenario name or alias) or Spec (an inline
-// scenario spec) names the work.
-type submitRequest struct {
-	Experiment string          `json:"experiment,omitempty"`
-	Spec       json.RawMessage `json:"spec,omitempty"`
-	Seed       int64           `json:"seed"`
-	Scale      string          `json:"scale,omitempty"` // default "quick"
-	Shards     int             `json:"shards,omitempty"`
-}
-
 // submitResponse answers a submission: Created reports whether this
 // submission started (or queued) a new execution — false means the
 // client attached to a cache entry or an already-in-flight identical
@@ -563,7 +549,7 @@ func (s *Server) create(key string, req dist.Job, stale *job) (*job, bool, error
 const maxSubmitBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
+	var req dist.Job
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -580,17 +566,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("shards must be >= 0"))
 		return
 	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = 1
+	if req.Shards == 0 {
+		req.Shards = 1
 	}
-	j, created, err := s.submit(dist.Job{
-		Experiment: req.Experiment,
-		Spec:       req.Spec,
-		Seed:       req.Seed,
-		Scale:      req.Scale,
-		Shards:     shards,
-	})
+	j, created, err := s.submit(req)
 	if err != nil {
 		status := http.StatusBadRequest
 		if err == errShutdown {
@@ -805,37 +784,8 @@ func copyRecords(w io.Writer, f *os.File, off, size int64, from int, skipping *b
 	return size, nil
 }
 
-// experimentInfo is one row of GET /v1/experiments.
-type experimentInfo struct {
-	Name        string `json:"name"`
-	Kind        string `json:"kind"` // "figure", "scenario" or "alias"
-	Description string `json:"description"`
-}
-
 func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
-	var out []experimentInfo
-	for _, name := range exp.Names() {
-		e, _ := exp.Find(name)
-		out = append(out, experimentInfo{Name: name, Kind: "figure", Description: e.Describe()})
-	}
-	names := scenario.Names()
-	sort.Strings(names)
-	for _, n := range names {
-		if spec, ok := scenario.Lookup(n); ok && spec.Figure != 0 {
-			continue // figure delegates already listed
-		}
-		out = append(out, experimentInfo{Name: n, Kind: "scenario", Description: scenario.Describe(n)})
-	}
-	aliases := exp.Aliases()
-	var as []string
-	for a := range aliases {
-		as = append(as, a)
-	}
-	sort.Strings(as)
-	for _, a := range as {
-		out = append(out, experimentInfo{Name: a, Kind: "alias", Description: "alias of " + aliases[a]})
-	}
-	writeJSON(w, out)
+	writeJSON(w, dist.Catalogue())
 }
 
 // statsResponse is the GET /v1/stats body: a JSON introspection

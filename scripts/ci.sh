@@ -63,6 +63,18 @@ if [ -n "$OWNERS$SLEEPS" ]; then
     exit 1
 fi
 
+echo "== resolver gate (internal/dist/job.go is the one place a name becomes work)"
+# dist.Job.Target maps a name to an experiment or a scenario spec, and
+# dist.Catalogue lists the names it accepts. No other non-test Go under
+# internal/ or cmd/ looks a name up in either registry.
+LOOKUPS="$(grep -rnE --include='*.go' 'exp\.Find\(|scenario\.Lookup\(|scenario\.Names\(|exp\.Aliases\(' internal cmd |
+    grep -v '_test\.go:' | grep -v '^internal/dist/job\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [ -n "$LOOKUPS" ]; then
+    echo "name lookups outside internal/dist/job.go (resolve through dist.Job.Target or dist.Catalogue):" >&2
+    echo "$LOOKUPS" >&2
+    exit 1
+fi
+
 echo "== go test -race (parallel experiment engine + shard coordinator + serve layer + trace + obs)"
 go test -race ./internal/experiments/... ./internal/dist/... ./internal/serve ./internal/trace ./internal/obs/...
 
