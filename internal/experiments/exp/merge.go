@@ -102,10 +102,11 @@ func (e *GapError) residueClasses() (mod int, classes []int, ok bool) {
 // boundaries without re-serialization. Lines starting with '#' (the
 // coordinator's shard-file completion markers) and blank lines are
 // skipped, so checkpointed shard files from a `meshopt coord` run
-// directory merge as-is. In parallel, each line is decoded and fed to
-// the Reduce of the experiment registered under the stream's scenario
-// name; the returned Result is nil when the name resolves to no
-// registered experiment (e.g. a declarative scenario stream).
+// directory merge as-is. Every line is checked in full, but ordering
+// reads only its cell (sink.Cell); a line is decoded only to feed the
+// Reduce of the experiment registered under the stream's scenario name.
+// The returned Result is nil when the name resolves to no registered
+// experiment (e.g. a declarative scenario stream).
 //
 // Merge validates the merged cell sequence. Cells must cover 0..max
 // without gaps — a repeated cell is only legal when the stream's
@@ -122,8 +123,8 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 	}
 	type cursor struct {
 		sc   *bufio.Scanner
-		line []byte
-		rec  sink.Record
+		line []byte // valid until the cursor's next Scan
+		cell int
 		ok   bool
 	}
 	advance := func(c *cursor) error {
@@ -132,13 +133,11 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 			if !sink.IsRecord(line) {
 				continue
 			}
-			rec, err := sink.DecodeJSONL(line)
+			cell, err := sink.Cell(line)
 			if err != nil {
 				return err
 			}
-			c.line = append(c.line[:0], line...)
-			c.rec = rec
-			c.ok = true
+			c.line, c.cell, c.ok = line, cell, true
 			return nil
 		}
 		c.ok = false
@@ -155,6 +154,7 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 
 	bw := bufio.NewWriter(out)
 	var (
+		dec      sink.Decoder
 		red      *Reduction
 		started  bool
 		multi    bool // the stream's experiment emits several records per cell
@@ -177,7 +177,7 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 		// tie, so this only matters for degenerate inputs).
 		best := -1
 		for i, c := range cursors {
-			if c.ok && (best < 0 || c.rec.Cell < cursors[best].rec.Cell) {
+			if c.ok && (best < 0 || c.cell < cursors[best].cell) {
 				best = i
 			}
 		}
@@ -188,7 +188,11 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 
 		if !started {
 			started = true
-			if e, ok := Find(c.rec.Scenario); ok {
+			first, err := sink.DecodeJSONL(c.line) // its scenario names the reduction
+			if err != nil {
+				return nil, err
+			}
+			if e, ok := Find(first.Scenario); ok {
 				_, multi = e.(RecordStreamer)
 				red = NewReduction(e)
 			} else {
@@ -196,7 +200,7 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 			}
 		}
 		switch {
-		case c.rec.Cell == curCell:
+		case c.cell == curCell:
 			// Another record of the cell being copied. One cell's records
 			// always live in one shard stream, so a repeat from a
 			// *different* cursor means the same shard (or an overlapping
@@ -205,20 +209,20 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 			// Either mistake would silently double-count in Reduce.
 			if best != curOwner || !multi {
 				return nil, fmt.Errorf("exp: merge: cell %d repeated — duplicated shard or overlapping residue spec?",
-					c.rec.Cell)
+					c.cell)
 			}
-		case c.rec.Cell == nextCell:
-			curCell, curOwner, nextCell = c.rec.Cell, best, c.rec.Cell+1
-		case c.rec.Cell > nextCell:
+		case c.cell == nextCell:
+			curCell, curOwner, nextCell = c.cell, best, c.cell+1
+		case c.cell > nextCell:
 			// A gap: a shard stream is missing or truncated. Keep
 			// scanning to report the full missing set, but stop writing
 			// (out keeps its gapless prefix) and abandon the reduction.
-			missing = append(missing, CellRange{First: nextCell, Last: c.rec.Cell - 1})
+			missing = append(missing, CellRange{First: nextCell, Last: c.cell - 1})
 			finish()
-			curCell, curOwner, nextCell = c.rec.Cell, best, c.rec.Cell+1
-		default: // c.rec.Cell < curCell: the merge already moved past it
+			curCell, curOwner, nextCell = c.cell, best, c.cell+1
+		default: // c.cell < curCell: the merge already moved past it
 			return nil, fmt.Errorf("exp: merge: cell %d after cell %d — duplicated shard or unsorted stream?",
-				c.rec.Cell, curCell)
+				c.cell, curCell)
 		}
 
 		if len(missing) == 0 {
@@ -229,7 +233,11 @@ func Merge(ins []io.Reader, out io.Writer) (Result, error) {
 				return nil, err
 			}
 			if red != nil {
-				red.Feed(c.rec)
+				rec, err := dec.Decode(c.line)
+				if err != nil {
+					return nil, err
+				}
+				red.Feed(rec)
 			}
 		}
 		if err := advance(c); err != nil {

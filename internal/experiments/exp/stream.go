@@ -27,7 +27,10 @@ import (
 // A fast shard running ahead of the frontier is buffered in memory until
 // the frontier reaches its cells; the buffer is bounded by how far
 // shards diverge, not by the sweep (shards of one experiment do equal
-// work per cell, so divergence stays small in practice).
+// work per cell, so divergence stays small in practice). It holds the
+// lines' bytes, not decoded records: Push checks a line in full and
+// reads only its cell, and a record is decoded once, at emit time, and
+// only to feed the reduction.
 //
 // Merger is not safe for concurrent use; the coordinator calls it from
 // its one loop goroutine.
@@ -36,19 +39,54 @@ type Merger struct {
 	k         int
 	e         Experiment
 	multi     bool // e's cells may emit several records
-	queues    [][]mergeLine
+	queues    []lineQueue
 	last      []int // last cell pushed per shard, -1 before the first
 	closed    []bool
 	next      int // frontier: first cell not yet fully emitted
 	nEmitted  int // records emitted for the frontier cell
 	autoFlush bool
 	red       *Reduction // nil without an experiment
+	dec       sink.Decoder
 }
 
-type mergeLine struct {
-	cell int
-	line []byte
-	rec  sink.Record
+// lineQueue holds one shard's lines that wait for the frontier, back to
+// back in one buffer, so queueing a line costs a copy and no allocation
+// once the buffer has grown to the shards' divergence.
+type lineQueue struct {
+	buf   []byte
+	lines []queuedLine
+	head  int // first line not yet emitted
+	off   int // its offset in buf
+}
+
+type queuedLine struct{ cell, len int }
+
+func (q *lineQueue) push(cell int, line []byte) {
+	switch {
+	case q.head == len(q.lines):
+		q.buf, q.lines, q.head, q.off = q.buf[:0], q.lines[:0], 0, 0
+	case q.off >= len(q.buf)-q.off: // more emitted than waiting: compact
+		q.buf = q.buf[:copy(q.buf, q.buf[q.off:])]
+		q.lines = q.lines[:copy(q.lines, q.lines[q.head:])]
+		q.head, q.off = 0, 0
+	}
+	q.buf = append(q.buf, line...)
+	q.lines = append(q.lines, queuedLine{cell, len(line)})
+}
+
+// waiting is the number of queued lines.
+func (q *lineQueue) waiting() int { return len(q.lines) - q.head }
+
+// peek returns the oldest queued line and its cell. The line's bytes are
+// valid until the next push.
+func (q *lineQueue) peek() (cell int, line []byte) {
+	l := q.lines[q.head]
+	return l.cell, q.buf[q.off : q.off+l.len]
+}
+
+func (q *lineQueue) pop() {
+	q.off += q.lines[q.head].len
+	q.head++
 }
 
 // NewMerger returns a Merger for a k-shard run of experiment e. The
@@ -63,7 +101,7 @@ func NewMerger(out io.Writer, shards int, e Experiment) *Merger {
 		out:    bufio.NewWriter(out),
 		k:      shards,
 		e:      e,
-		queues: make([][]mergeLine, shards),
+		queues: make([]lineQueue, shards),
 		last:   make([]int, shards),
 		closed: make([]bool, shards),
 	}
@@ -84,10 +122,12 @@ func NewMerger(out io.Writer, shards int, e Experiment) *Merger {
 // plain buffered write path.
 func (m *Merger) AutoFlush(on bool) { m.autoFlush = on }
 
-// Push hands the merger shard's next record line. The line is decoded,
-// validated against the shard's residue class and stream order, and
-// buffered until the frontier reaches its cell; any records the push
-// unblocks are emitted before Push returns.
+// Push hands the merger shard's next record line. The whole line is
+// checked (sink.Cell), so a malformed line is refused here even when its
+// cell is far ahead of the frontier; its cell is validated against the
+// shard's residue class and stream order, and the line is buffered until
+// the frontier reaches its cell. Any records the push unblocks are
+// emitted before Push returns.
 func (m *Merger) Push(shard int, line []byte) error {
 	if shard < 0 || shard >= m.k {
 		return fmt.Errorf("exp: merger: shard %d out of range 0..%d", shard, m.k-1)
@@ -98,29 +138,25 @@ func (m *Merger) Push(shard int, line []byte) error {
 	if !sink.IsRecord(line) {
 		return nil
 	}
-	rec, err := sink.DecodeJSONL(line)
+	cell, err := sink.Cell(line)
 	if err != nil {
 		return fmt.Errorf("exp: merger: shard %d: %w", shard, err)
 	}
 	switch {
-	case rec.Cell < 0:
-		return fmt.Errorf("exp: merger: shard %d: negative cell %d", shard, rec.Cell)
-	case rec.Cell%m.k != shard:
+	case cell < 0:
+		return fmt.Errorf("exp: merger: shard %d: negative cell %d", shard, cell)
+	case cell%m.k != shard:
 		return fmt.Errorf("exp: merger: shard %d produced cell %d (≡ %d mod %d) — wrong residue class",
-			shard, rec.Cell, rec.Cell%m.k, m.k)
-	case rec.Cell < m.last[shard]:
+			shard, cell, cell%m.k, m.k)
+	case cell < m.last[shard]:
 		return fmt.Errorf("exp: merger: shard %d: cell %d after cell %d — stream out of order",
-			shard, rec.Cell, m.last[shard])
-	case rec.Cell == m.last[shard] && !m.multi && m.e != nil:
+			shard, cell, m.last[shard])
+	case cell == m.last[shard] && !m.multi && m.e != nil:
 		return fmt.Errorf("exp: merger: shard %d: cell %d repeated — %s cells emit exactly one record",
-			shard, rec.Cell, m.e.Name())
+			shard, cell, m.e.Name())
 	}
-	m.queues[shard] = append(m.queues[shard], mergeLine{
-		cell: rec.Cell,
-		line: append([]byte(nil), line...), // callers reuse their scan buffer
-		rec:  rec,
-	})
-	m.last[shard] = rec.Cell
+	m.queues[shard].push(cell, line) // copied: callers reuse their scan buffer
+	m.last[shard] = cell
 	return m.drain()
 }
 
@@ -155,8 +191,8 @@ func (m *Merger) drain() error {
 func (m *Merger) drainQueues() error {
 	for {
 		j := m.next % m.k
-		q := m.queues[j]
-		if len(q) == 0 {
+		q := &m.queues[j]
+		if q.waiting() == 0 {
 			if m.closed[j] && m.nEmitted > 0 {
 				m.next++
 				m.nEmitted = 0
@@ -164,36 +200,43 @@ func (m *Merger) drainQueues() error {
 			}
 			return nil // waiting on the frontier shard (or done)
 		}
-		head := q[0]
-		if head.cell == m.next {
-			if err := m.emit(head); err != nil {
+		cell, line := q.peek()
+		if cell == m.next {
+			if err := m.emit(line); err != nil {
 				return err
 			}
-			m.queues[j] = q[1:]
+			q.pop()
 			m.nEmitted++
 			continue
 		}
-		// head.cell > m.next (same residue class, stream order checked
-		// in Push): the frontier cell's block is over.
+		// cell > m.next (same residue class, stream order checked in
+		// Push): the frontier cell's block is over.
 		if m.nEmitted == 0 {
 			return fmt.Errorf("exp: merger: shard %d skipped cell %d (next record is cell %d) — truncated shard stream?",
-				j, m.next, head.cell)
+				j, m.next, cell)
 		}
 		m.next++
 		m.nEmitted = 0
 	}
 }
 
-func (m *Merger) emit(l mergeLine) error {
-	if _, err := m.out.Write(l.line); err != nil {
+// emit writes a line and feeds its record, decoded here and only here,
+// to the reduction.
+func (m *Merger) emit(line []byte) error {
+	if _, err := m.out.Write(line); err != nil {
 		return err
 	}
 	if err := m.out.WriteByte('\n'); err != nil {
 		return err
 	}
-	if m.red != nil {
-		m.red.Feed(l.rec)
+	if m.red == nil {
+		return nil
 	}
+	rec, err := m.dec.Decode(line)
+	if err != nil {
+		return err
+	}
+	m.red.Feed(rec)
 	return nil
 }
 
@@ -215,11 +258,11 @@ func (m *Merger) Finish(expectedCells int) (Result, error) {
 		return nil, fmt.Errorf("exp: merger: merged %d of %d cells; first missing cell %d (shard %d of %d)",
 			m.next, expectedCells, m.next, m.next%m.k, m.k)
 	}
-	for j, q := range m.queues {
-		if len(q) > 0 {
+	for j := range m.queues {
+		if n := m.queues[j].waiting(); n > 0 {
 			m.Abort()
 			return nil, fmt.Errorf("exp: merger: shard %d holds %d records beyond cell %d (cells run past the enumeration?)",
-				j, len(q), expectedCells-1)
+				j, n, expectedCells-1)
 		}
 	}
 	if err := m.out.Flush(); err != nil {

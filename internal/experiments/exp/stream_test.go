@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -276,5 +277,81 @@ func TestMergerRejectsRepeatedCellForSingleRecordExperiment(t *testing.T) {
 	}
 	if err := m.Push(0, lines[0]); err == nil || !strings.Contains(err.Error(), "repeated") {
 		t.Fatalf("repeated cell push: err = %v", err)
+	}
+}
+
+// TestMergerRefusesMalformedLineAhead: a line whose header is fine but
+// whose payload is not JSON is refused by the Push that hands it over,
+// even when its cell is far ahead of the frontier and would only be
+// emitted later. A worker's corrupt stream must fail at the line that
+// carries the damage, before anything of it is merged or checkpointed.
+func TestMergerRefusesMalformedLineAhead(t *testing.T) {
+	e, _ := Find("toy")
+	for _, e := range []Experiment{e, nil} {
+		m := NewMerger(io.Discard, 2, e)
+		if err := m.Push(1, []byte(`{"scenario":"toy","series":"cell","cell":1,"v":101}`)); err != nil {
+			t.Fatal(err)
+		}
+		err := m.Push(1, []byte(`{"scenario":"toy","series":"cell","cell":3,"v":1.}`))
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("malformed payload ahead of the frontier: err = %v", err)
+		}
+		if m.Frontier() != 0 || m.Last(1) != 1 {
+			t.Fatalf("refused line moved the merge: frontier %d, last %d", m.Frontier(), m.Last(1))
+		}
+		m.Abort()
+	}
+}
+
+// mergerLines renders n one-record lines of an unregistered scenario
+// whose payload holds a float that decoding would have to box.
+func mergerLines(n int) [][]byte {
+	lines := make([][]byte, n)
+	for i := range lines {
+		lines[i] = []byte(`{"scenario":"unregistered","series":"cell","cell":` + strconv.Itoa(i) + `,"v":0.3183098861837907}`)
+	}
+	return lines
+}
+
+// TestMergerPushAheadAllocates: queueing lines ahead of the frontier
+// copies them into the shard's buffer; the buffer's growth is all that
+// allocates.
+func TestMergerPushAheadAllocates(t *testing.T) {
+	const n = 1000
+	lines := mergerLines(2 * n)
+	perLine := testing.AllocsPerRun(5, func() {
+		m := NewMerger(io.Discard, 2, nil)
+		for i := 1; i < 2*n; i += 2 { // shard 1's cells; the frontier waits on cell 0
+			if err := m.Push(1, lines[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.Frontier() != 0 {
+			t.Fatalf("frontier %d, want 0", m.Frontier())
+		}
+	}) / n
+	if perLine >= 0.1 {
+		t.Errorf("Push ahead of the frontier: %v allocs per line, want < 0.1", perLine)
+	}
+}
+
+// TestMergerWithoutReductionBuildsNoRecord: with no experiment to feed,
+// lines pass from Push to the output without a Record being decoded —
+// decoding one of these lines would box its float.
+func TestMergerWithoutReductionBuildsNoRecord(t *testing.T) {
+	lines := mergerLines(200)
+	m := NewMerger(io.Discard, 1, nil)
+	defer m.Abort()
+	i := 0
+	if n := testing.AllocsPerRun(len(lines)-1, func() {
+		if err := m.Push(0, lines[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("merging a line without a reduction: %v allocs, want 0", n)
+	}
+	if m.Frontier() != len(lines)-1 {
+		t.Fatalf("frontier %d, want %d", m.Frontier(), len(lines)-1)
 	}
 }

@@ -247,7 +247,8 @@ type Prefix struct {
 
 // ScanPart streams the part of the log at path and returns the prefix of
 // complete cells worth resuming from; the zero Prefix means start over.
-// Lines must be well-formed record lines that decode, and cells must be
+// Lines must be well-formed record lines that Cell accepts — it checks
+// every byte and builds nothing — and cells must be
 // gapless from 0. When cells may emit several records (multi) the last
 // cell seen is dropped: its completeness is unknowable without the next
 // cell's first record. The first line that breaks a rule — a torn final
@@ -270,14 +271,14 @@ scan:
 		if !ok {
 			break
 		}
-		rec, err := DecodeJSONL(line)
+		cell, err := Cell(line)
 		if err != nil {
 			break
 		}
 		switch {
-		case multi && seen.Cells > 0 && rec.Cell == seen.Cells-1:
+		case multi && seen.Cells > 0 && cell == seen.Cells-1:
 			// another record of the current cell
-		case rec.Cell == seen.Cells:
+		case cell == seen.Cells:
 			// cell boundary: everything before this line is complete
 			keep = seen
 			seen.Cells++

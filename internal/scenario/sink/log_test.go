@@ -243,6 +243,20 @@ func TestDoneMarkerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScanPartStopsAtGluedLine: a part whose newline between two records
+// was flipped holds one line carrying two records. That line is no
+// record, so the prefix ends before it — at cell 0 — and the two cells
+// it hides are recomputed rather than resumed past.
+func TestScanPartStopsAtGluedLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	glued := strings.TrimSuffix(logLine(1), "\n") + "X" + logLine(2)
+	writeFile(t, PartPath(path), []byte(logLine(0)+glued+logLine(3)))
+	want := Prefix{Cells: 1, Records: 1, Bytes: int64(len(logLine(0)))}
+	if got := ScanPart(path, false, 10); got != want {
+		t.Fatalf("ScanPart = %+v, want %+v", got, want)
+	}
+}
+
 // TestLogAppendAllocates pins the log's cost model: appending a line
 // allocates nothing, and a whole create → append×N → seal cycle costs a
 // constant number of allocations whatever N is.

@@ -248,6 +248,12 @@ func TestDecodeJSONLRejectsMalformed(t *testing.T) {
 		`{"series":"x","scenario":"y","cell":0}`, // header order is the wire format
 		`{"scenario":"x","series":"y","cell":"z"}`,
 		`not json`,
+		// Two records glued by a lost newline are not one record.
+		`{"scenario":"x","series":"y","cell":0,"x":1}{"scenario":"x","series":"y","cell":1,"x":1}`,
+		// The cell is an integer literal, not a number truncated to one.
+		`{"scenario":"x","series":"y","cell":1.7}`,
+		`{"scenario":"x","series":"y","cell":1e300}`,
+		`{"scenario":"x","series":"y"}`, // no cell at all
 	} {
 		if _, err := DecodeJSONL([]byte(bad)); err == nil {
 			t.Errorf("DecodeJSONL(%q) accepted", bad)

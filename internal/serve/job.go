@@ -270,12 +270,13 @@ func reduceEntry(e exp.Experiment, path string) (exp.Result, error) {
 	red := exp.NewReduction(e)
 	defer red.Finish()
 	sc := sink.NewLineScanner(f)
+	var dec sink.Decoder
 	for sc.Scan() {
 		line := sc.Bytes()
 		if !sink.IsRecord(line) {
 			continue
 		}
-		rec, err := sink.DecodeJSONL(line)
+		rec, err := dec.Decode(line)
 		if err != nil {
 			return nil, err
 		}

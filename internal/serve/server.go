@@ -751,8 +751,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 }
 
 // copyRecords copies the published byte range [off, size) — always
-// whole record lines — to w. While skipping, lines are decoded until
-// one reaches cell `from`; everything from that line on is copied
+// whole record lines — to w. While skipping, lines are read (sink.Cell)
+// until one reaches cell `from`; everything from that line on is copied
 // verbatim, so the suffix is byte-identical to the corresponding tail
 // of the full stream.
 func copyRecords(w io.Writer, f *os.File, off, size int64, from int, skipping *bool) (int64, error) {
@@ -770,11 +770,11 @@ func copyRecords(w io.Writer, f *os.File, off, size int64, from int, skipping *b
 		if i < 0 {
 			return off, fmt.Errorf("serve: published byte range ends mid-line")
 		}
-		rec, err := sink.DecodeJSONL(rest[:i])
+		cell, err := sink.Cell(rest[:i])
 		if err != nil {
 			return off, err
 		}
-		if rec.Cell >= from {
+		if cell >= from {
 			*skipping = false
 			_, err := w.Write(rest)
 			return size, err

@@ -81,9 +81,10 @@ go test -race ./internal/experiments/... ./internal/dist/... ./internal/serve ./
 echo "== go test -race -count=10 (serve warm-submit attach path against the TTL janitor)"
 go test -race -count=10 -run 'WarmSubmit|AttachVsJanitor' ./internal/serve
 
-echo "== fuzz (5s each: a sealed log on disk, a completion marker line)"
+echo "== fuzz (5s each: a sealed log on disk, a completion marker line, a record line against encoding/json)"
 go test ./internal/scenario/sink -run '^$' -fuzz '^FuzzValidateLog$' -fuzztime=5s
 go test ./internal/scenario/sink -run '^$' -fuzz '^FuzzParseDoneMarker$' -fuzztime=5s
+go test ./internal/scenario/sink -run '^$' -fuzz '^FuzzDecodeJSONL$' -fuzztime=5s
 
 echo "== scenario schema gate (round-trip parse/marshal goldens)"
 go test ./internal/scenario -run 'TestGolden|TestBuiltinsMarshalParse' -count=1
